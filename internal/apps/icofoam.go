@@ -35,9 +35,9 @@ func (f *IcoFoam) Run(cfg Config) ([]simmpi.Result, error) {
 	if err := cfg.validate(2); err != nil {
 		return nil, err
 	}
+	jit := jitter(cfg, "icofoam", 0.02)
 	return simmpi.RunOpt(cfg.Procs, cfg.runOptions(), func(p *simmpi.Proc) error {
 		n := cfg.N
-		jit := jitter(cfg, "icofoam", 0.02)
 
 		// Allocation: 10 field arrays plus the replicated global
 		// communication maps that grow with p·log p.

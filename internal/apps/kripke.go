@@ -43,9 +43,9 @@ func (k *Kripke) Run(cfg Config) ([]simmpi.Result, error) {
 		return nil, err
 	}
 	g, d := k.Groups, k.Directions
+	jit := jitter(cfg, "kripke", 0.02)
 	return simmpi.RunOpt(cfg.Procs, cfg.runOptions(), func(p *simmpi.Proc) error {
 		n := cfg.N
-		jit := jitter(cfg, "kripke", 0.02)
 
 		// Allocation: angular flux psi[n·g], scalar flux phi[n·g],
 		// cross sections sigma[n], face buffer (n/4). The sweep-readiness

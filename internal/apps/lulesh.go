@@ -37,10 +37,10 @@ func (l *LULESH) Run(cfg Config) ([]simmpi.Result, error) {
 	if err := cfg.validate(1); err != nil {
 		return nil, err
 	}
+	jit := jitter(cfg, "lulesh", 0.02)
 	return simmpi.RunOpt(cfg.Procs, cfg.runOptions(), func(p *simmpi.Proc) error {
 		n := cfg.N
 		levels := int(math.Max(1, math.Ceil(log2i(n))))
-		jit := jitter(cfg, "lulesh", 0.02)
 
 		// Allocation: 8 field arrays of n plus one gather table per level.
 		fields := make([]float64, n)

@@ -40,9 +40,9 @@ func (m *MILC) Run(cfg Config) ([]simmpi.Result, error) {
 	if err := cfg.validate(2); err != nil {
 		return nil, err
 	}
+	jit := jitter(cfg, "milc", 0.02)
 	return simmpi.RunOpt(cfg.Procs, cfg.runOptions(), func(p *simmpi.Proc) error {
 		n := cfg.N
-		jit := jitter(cfg, "milc", 0.02)
 
 		// Allocation: 4-direction gauge links (2 words each) + 5 fermion
 		// vectors.

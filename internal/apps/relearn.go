@@ -40,9 +40,9 @@ func (r *Relearn) Run(cfg Config) ([]simmpi.Result, error) {
 	if err := cfg.validate(2); err != nil {
 		return nil, err
 	}
+	jit := jitter(cfg, "relearn", 0.02)
 	return simmpi.RunOpt(cfg.Procs, cfg.runOptions(), func(p *simmpi.Proc) error {
 		n := cfg.N
-		jit := jitter(cfg, "relearn", 0.02)
 
 		// Allocation: column buckets dominate; neuron state is compact.
 		buckets := int(math.Ceil(math.Sqrt(float64(n))))

@@ -19,6 +19,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"runtime/pprof"
@@ -177,41 +178,49 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		}
 		return o
 	}
-	if cache != nil {
-		fp := fingerprint(t)
-		if info, err, ok := cache.lookup(fp); ok {
-			if fm != nil {
-				fm.hits.Inc()
-			}
-			return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
-		}
-		info, err := FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
-		info, err = cache.store(fp, info, err)
+	fit := func() (*ModelInfo, error) {
+		return FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
+	}
+	if cache == nil {
+		info, err := fit()
 		return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
 	}
-	info, err := FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
+	info, err, hit := cache.do(fingerprint(t), fit)
+	if hit && fm != nil {
+		fm.hits.Inc()
+	}
 	return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
 }
 
 // FitCache memoizes fitted models under content fingerprints. Safe for
-// concurrent use; the zero value is not usable, call NewFitCache.
+// concurrent use; the zero value is not usable, call NewFitCache. It is
+// single-flight: the first claimant of a fingerprint fits it, and every
+// later claimant, concurrent or not, waits for and shares that result, so
+// each content key is fitted exactly once.
 type FitCache struct {
 	mu      sync.Mutex
-	entries map[[sha256.Size]byte]fitEntry
+	entries map[[sha256.Size]byte]*fitEntry
 	hits    atomic.Int64
 }
 
+// fitEntry is one fingerprint's fit; done is closed once info and err are
+// final.
 type fitEntry struct {
+	done chan struct{}
 	info *ModelInfo
 	err  error
 }
 
+// errFitPanicked is what waiters on a fit receive when the fitting
+// claimant panicked.
+var errFitPanicked = errors.New("modeling: fit panicked")
+
 // NewFitCache returns an empty cache.
 func NewFitCache() *FitCache {
-	return &FitCache{entries: map[[sha256.Size]byte]fitEntry{}}
+	return &FitCache{entries: map[[sha256.Size]byte]*fitEntry{}}
 }
 
-// Len reports the number of cached fits.
+// Len reports the number of cached fits (including any in progress).
 func (c *FitCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,27 +230,33 @@ func (c *FitCache) Len() int {
 // Hits reports how many lookups were served from the cache.
 func (c *FitCache) Hits() int64 { return c.hits.Load() }
 
-func (c *FitCache) lookup(fp [sha256.Size]byte) (*ModelInfo, error, bool) {
+// do returns the fit for fp, running fit if fp has no entry yet and
+// otherwise waiting for the entry's claimant; hit reports the latter. If
+// fit panics, its waiters get errFitPanicked, the entry is dropped so a
+// later claimant fits afresh, and the panic propagates.
+func (c *FitCache) do(fp [sha256.Size]byte, fit func() (*ModelInfo, error)) (info *ModelInfo, err error, hit bool) {
 	c.mu.Lock()
-	e, ok := c.entries[fp]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
-	return e.info, e.err, ok
-}
-
-// store inserts a computed fit, keeping the first entry if two workers
-// raced on the same fingerprint, so that every caller observes one
-// canonical model per content key.
-func (c *FitCache) store(fp [sha256.Size]byte, info *ModelInfo, err error) (*ModelInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e, ok := c.entries[fp]; ok {
-		return e.info, e.err
+		c.mu.Unlock()
+		<-e.done
+		c.hits.Add(1)
+		return e.info, e.err, true
 	}
-	c.entries[fp] = fitEntry{info: info, err: err}
-	return info, err
+	e := &fitEntry{done: make(chan struct{}), err: errFitPanicked}
+	c.entries[fp] = e
+	c.mu.Unlock()
+	finished := false
+	defer func() {
+		if !finished {
+			c.mu.Lock()
+			delete(c.entries, fp)
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.info, e.err = fit()
+	finished = true
+	return e.info, e.err, false
 }
 
 // fingerprint hashes the content of a fit task: parameters, measurements,

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // poolSeries builds a deterministic measurement series whose shape depends
@@ -86,6 +90,99 @@ func TestFitCacheIdenticalMeasurements(t *testing.T) {
 		if second[i].Key != dup[i].Key {
 			t.Errorf("task %d: outcome key %q, want %q", i, second[i].Key, dup[i].Key)
 		}
+	}
+}
+
+// TestFitCacheSingleFlight: concurrent claimants of one fingerprint run
+// the fit once; every other claimant waits and shares the result as a hit.
+func TestFitCacheSingleFlight(t *testing.T) {
+	cache := NewFitCache()
+	var fp [32]byte
+	release := make(chan struct{})
+	var fits atomic.Int64
+	fit := func() (*ModelInfo, error) {
+		fits.Add(1)
+		<-release
+		return &ModelInfo{}, nil
+	}
+	const claimants = 16
+	infos := make([]*ModelInfo, claimants)
+	var wg sync.WaitGroup
+	for i := 0; i < claimants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			infos[i], _, _ = cache.do(fp, fit)
+		}(i)
+	}
+	// Once the first claimant owns the entry, give the others a moment to
+	// block on it. The sleep only widens that window: a claimant arriving
+	// after the fit is a plain hit, so the assertions hold either way.
+	for cache.Len() == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if n := fits.Load(); n != 1 {
+		t.Fatalf("fit ran %d times, want 1", n)
+	}
+	if h := cache.Hits(); h != claimants-1 {
+		t.Errorf("hits = %d, want %d", h, claimants-1)
+	}
+	for i, info := range infos {
+		if info != infos[0] {
+			t.Errorf("claimant %d got a different *ModelInfo", i)
+		}
+	}
+}
+
+// TestFitCachePanicReleasesWaiters: a panicking fit still releases its
+// waiters, with an error, and leaves no entry behind, so the next claimant
+// fits afresh.
+func TestFitCachePanicReleasesWaiters(t *testing.T) {
+	cache := NewFitCache()
+	var fp [32]byte
+	started := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		cache.do(fp, func() (*ModelInfo, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		// A waiter must get the panic error; one arriving after the entry
+		// was dropped claims it and fits afresh.
+		_, err, hit := cache.do(fp, func() (*ModelInfo, error) { return &ModelInfo{}, nil })
+		if hit != errors.Is(err, errFitPanicked) {
+			err = fmt.Errorf("hit=%v err=%v", hit, err)
+		} else {
+			err = nil
+		}
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // widens the waiter's window only
+	close(release)
+	if r := <-panicked; r == nil {
+		t.Error("panic did not propagate to the claimant")
+	}
+	select {
+	case err := <-waiter:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the fit panicked")
+	}
+	info, err, hit := cache.do(fp, func() (*ModelInfo, error) { return &ModelInfo{}, nil })
+	if hit || err != nil || info == nil {
+		t.Errorf("after panic: info=%v err=%v hit=%v, want a fresh fit", info, err, hit)
 	}
 }
 

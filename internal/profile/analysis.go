@@ -19,7 +19,7 @@ func (p *Profiler) InclusiveMetric(path, metric string) (float64, bool) {
 }
 
 func inclusive(n *Node, metric string) float64 {
-	total := n.Metrics[metric]
+	total := n.Metric(metric)
 	for _, c := range n.Children {
 		total += inclusive(c, metric)
 	}
@@ -66,7 +66,7 @@ func (p *Profiler) TopPaths(metric string, k int) []PathRank {
 		path := prefix + n.Name
 		all = append(all, PathRank{
 			Path:      path,
-			Exclusive: n.Metrics[metric],
+			Exclusive: n.Metric(metric),
 			Inclusive: inclusive(n, metric),
 		})
 		for _, c := range n.Children {

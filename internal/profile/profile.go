@@ -15,23 +15,145 @@ import (
 	"strings"
 )
 
+// Metric names one of the fixed-slot metrics: the closed set the simulated
+// runtime records on every counter event. Each node keeps them in a small
+// array instead of a string-keyed map, so recording one costs an add and a
+// bit set. AddMetric accepts these names too, and any other name, which
+// goes to a per-node map.
+type Metric uint8
+
+// The fixed-slot metrics, named as in Table I.
+const (
+	Flop Metric = iota
+	Loads
+	Stores
+	BytesSent
+	BytesRecv
+	numMetrics
+)
+
+var metricNames = [numMetrics]string{"flop", "loads", "stores", "bytes_sent", "bytes_recv"}
+
+// String returns the metric's name as AddMetric, Flatten and the JSON form
+// spell it.
+func (m Metric) String() string { return metricNames[m] }
+
+// lookupMetric resolves a metric name to its fixed slot.
+func lookupMetric(name string) (Metric, bool) {
+	for m, s := range metricNames {
+		if s == name {
+			return Metric(m), true
+		}
+	}
+	return 0, false
+}
+
 // Node is one call-path node: a region name in the context of its parent
 // chain, with metric accumulators.
 type Node struct {
-	Name     string             `json:"name"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-	Visits   int64              `json:"visits,omitempty"`
-	Children []*Node            `json:"children,omitempty"`
+	Name     string
+	Visits   int64
+	Children []*Node
 
+	// slots accumulate the fixed-slot metrics; bit m of has is set once
+	// slot m has been added to, so a metric is present (in Metrics,
+	// Flatten and the JSON form) exactly when it was ever recorded, even
+	// as zero. extra holds every other metric name.
+	slots  [numMetrics]float64
+	has    uint8
+	extra  map[string]float64
 	parent *Node
 	index  map[string]*Node
 }
 
-func newNode(name string, parent *Node) *Node {
-	return &Node{Name: name, parent: parent, index: map[string]*Node{}}
+// add accumulates v into the fixed slot m.
+func (n *Node) add(m Metric, v float64) {
+	n.slots[m] += v
+	n.has |= 1 << m
 }
 
-// child returns (creating if needed) the child with the given name.
+// addNamed accumulates v into the named metric.
+func (n *Node) addNamed(name string, v float64) {
+	if m, ok := lookupMetric(name); ok {
+		n.add(m, v)
+		return
+	}
+	if n.extra == nil {
+		n.extra = map[string]float64{}
+	}
+	n.extra[name] += v
+}
+
+// Metric returns the node's exclusive value of the named metric, or 0 if it
+// was never recorded there.
+func (n *Node) Metric(name string) float64 {
+	if m, ok := lookupMetric(name); ok {
+		return n.slots[m]
+	}
+	return n.extra[name]
+}
+
+// Metrics returns a fresh map of every metric recorded at the node, or nil
+// if none was.
+func (n *Node) Metrics() map[string]float64 {
+	if n.has == 0 && len(n.extra) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, int(numMetrics)+len(n.extra))
+	for m := Metric(0); m < numMetrics; m++ {
+		if n.has&(1<<m) != 0 {
+			out[metricNames[m]] = n.slots[m]
+		}
+	}
+	for k, v := range n.extra {
+		out[k] = v
+	}
+	return out
+}
+
+// nodeJSON is the serialized form of a Node.
+type nodeJSON struct {
+	Name     string             `json:"name"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Visits   int64              `json:"visits,omitempty"`
+	Children []*Node            `json:"children,omitempty"`
+}
+
+// MarshalJSON serializes the node and its subtree.
+func (n *Node) MarshalJSON() ([]byte, error) {
+	return json.Marshal(nodeJSON{Name: n.Name, Metrics: n.Metrics(), Visits: n.Visits, Children: n.Children})
+}
+
+// UnmarshalJSON restores a node serialized by MarshalJSON. Parent links are
+// not restored; Profiler.UnmarshalJSON fixes them for the whole tree.
+func (n *Node) UnmarshalJSON(data []byte) error {
+	var w nodeJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*n = Node{Name: w.Name, Visits: w.Visits, Children: w.Children}
+	// Values are assigned, not added, so a stored -0 survives the trip.
+	for k, v := range w.Metrics {
+		if m, ok := lookupMetric(k); ok {
+			n.slots[m] = v
+			n.has |= 1 << m
+			continue
+		}
+		if n.extra == nil {
+			n.extra = map[string]float64{}
+		}
+		n.extra[k] = v
+	}
+	return nil
+}
+
+func newNode(name string, parent *Node) *Node {
+	return &Node{Name: name, parent: parent}
+}
+
+// child returns (creating if needed) the child with the given name. The
+// name index is built on a node's first child lookup, so leaves never
+// allocate one.
 func (n *Node) child(name string) *Node {
 	if n.index == nil {
 		n.index = map[string]*Node{}
@@ -86,13 +208,13 @@ func (p *Profiler) InRegion(region string, f func()) {
 	f()
 }
 
-// AddMetric accumulates a metric value on the current call path.
-func (p *Profiler) AddMetric(metric string, v float64) {
-	if p.current.Metrics == nil {
-		p.current.Metrics = map[string]float64{}
-	}
-	p.current.Metrics[metric] += v
-}
+// AddMetric accumulates a metric value on the current call path. Names of
+// the fixed-slot metrics land in their slots, as if added with Add.
+func (p *Profiler) AddMetric(metric string, v float64) { p.current.addNamed(metric, v) }
+
+// Add accumulates a fixed-slot metric value on the current call path: the
+// allocation-free form of AddMetric(m.String(), v).
+func (p *Profiler) Add(m Metric, v float64) { p.current.add(m, v) }
 
 // Root returns the root node of the call tree.
 func (p *Profiler) Root() *Node { return p.root }
@@ -119,7 +241,7 @@ func (p *Profiler) Flatten() []PathMetrics {
 	var walk func(n *Node, prefix string)
 	walk = func(n *Node, prefix string) {
 		path := prefix + n.Name
-		out = append(out, PathMetrics{Path: path, Visits: n.Visits, Metrics: copyMetrics(n.Metrics)})
+		out = append(out, PathMetrics{Path: path, Visits: n.Visits, Metrics: n.Metrics()})
 		for _, c := range n.Children {
 			walk(c, path+"/")
 		}
@@ -134,7 +256,7 @@ func (p *Profiler) MetricTotal(metric string) float64 {
 	var total float64
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		total += n.Metrics[metric]
+		total += n.Metric(metric)
 		for _, c := range n.Children {
 			walk(c)
 		}
@@ -164,7 +286,7 @@ func (p *Profiler) PathMetric(path, metric string) float64 {
 		}
 		n = next
 	}
-	return n.Metrics[metric]
+	return n.Metric(metric)
 }
 
 // Merge adds the call tree of o into p (summing metrics and visits of
@@ -173,11 +295,13 @@ func (p *Profiler) Merge(o *Profiler) {
 	var merge func(dst, src *Node)
 	merge = func(dst, src *Node) {
 		dst.Visits += src.Visits
-		for k, v := range src.Metrics {
-			if dst.Metrics == nil {
-				dst.Metrics = map[string]float64{}
+		for m := Metric(0); m < numMetrics; m++ {
+			if src.has&(1<<m) != 0 {
+				dst.add(m, src.slots[m])
 			}
-			dst.Metrics[k] += v
+		}
+		for k, v := range src.extra {
+			dst.addNamed(k, v)
 		}
 		for _, sc := range src.Children {
 			merge(dst.child(sc.Name), sc)
@@ -210,15 +334,4 @@ func fixParents(n *Node, parent *Node) {
 	for _, c := range n.Children {
 		fixParents(c, n)
 	}
-}
-
-func copyMetrics(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]float64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

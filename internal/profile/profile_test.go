@@ -2,6 +2,8 @@ package profile
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -146,5 +148,153 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestMetricTotalEmpty(t *testing.T) {
 	if got := New().MetricTotal("x"); got != 0 {
 		t.Errorf("empty total = %g, want 0", got)
+	}
+}
+
+// legacyNode is the JSON shape of a call-path node: the fixed-slot storage
+// must serialize exactly like a plain metrics map did.
+type legacyNode struct {
+	Name     string             `json:"name"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Visits   int64              `json:"visits,omitempty"`
+	Children []*legacyNode      `json:"children,omitempty"`
+}
+
+func sumInOrder(vs ...float64) float64 {
+	var s float64
+	for _, v := range vs {
+		s += v
+	}
+	return s
+}
+
+func TestTypedAndNamedAddsMix(t *testing.T) {
+	p := New()
+	p.Enter("solve")
+	p.Add(Flop, 0.1)
+	p.AddMetric("flop", 0.2)
+	p.Add(Flop, 0.3)
+	p.AddMetric("loads", 7)
+	p.Add(Loads, 1e-9)
+	p.Exit("solve")
+	if got, want := p.PathMetric("main/solve", "flop"), sumInOrder(0.1, 0.2, 0.3); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("flop = %v, want %v (same sum in the same order)", got, want)
+	}
+	if got, want := p.MetricTotal("loads"), sumInOrder(7, 1e-9); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("loads = %v, want %v", got, want)
+	}
+	for m := Flop; m < numMetrics; m++ {
+		if got, ok := lookupMetric(m.String()); !ok || got != m {
+			t.Errorf("lookupMetric(%q) = %v, %v", m.String(), got, ok)
+		}
+	}
+}
+
+func TestZeroAddKeepsKey(t *testing.T) {
+	p := New()
+	p.InRegion("idle", func() {
+		p.Add(BytesSent, 0)
+		p.AddMetric("custom", 0)
+	})
+	for _, pm := range p.Flatten() {
+		switch pm.Path {
+		case "main":
+			if pm.Metrics != nil {
+				t.Errorf("root metrics = %v, want none", pm.Metrics)
+			}
+		case "main/idle":
+			want := map[string]float64{"bytes_sent": 0, "custom": 0}
+			if !reflect.DeepEqual(pm.Metrics, want) {
+				t.Errorf("idle metrics = %v, want %v", pm.Metrics, want)
+			}
+		}
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"main","visits":1,"children":[{"name":"idle","metrics":{"bytes_sent":0,"custom":0},"visits":1}]}`
+	if string(data) != want {
+		t.Errorf("JSON\n got %s\nwant %s", data, want)
+	}
+}
+
+func TestUnknownMetricNames(t *testing.T) {
+	p := New()
+	p.AddMetric("energy_j", 2.5)
+	p.InRegion("io", func() { p.AddMetric("energy_j", 0.5) })
+	p.AddMetric("energy_j", 1)
+	if got := p.PathMetric("main", "energy_j"); got != 3.5 {
+		t.Errorf("root energy = %g, want 3.5", got)
+	}
+	if got := p.MetricTotal("energy_j"); got != 4 {
+		t.Errorf("total energy = %g, want 4", got)
+	}
+	if got := p.Root().Metric("energy_j"); got != 3.5 {
+		t.Errorf("Root().Metric = %g, want 3.5", got)
+	}
+	if got := p.Root().Metrics(); !reflect.DeepEqual(got, map[string]float64{"energy_j": 3.5}) {
+		t.Errorf("Root().Metrics() = %v", got)
+	}
+	if got := p.MetricTotal("flop"); got != 0 {
+		t.Errorf("absent fixed-slot metric total = %g, want 0", got)
+	}
+}
+
+func TestMergeAndJSONMatchLegacyLayout(t *testing.T) {
+	a := New()
+	a.InRegion("cg", func() {
+		a.Add(Flop, 10)
+		a.AddMetric("custom", 1)
+		a.InRegion("MPI_Allreduce", func() { a.Add(BytesSent, 16); a.Add(BytesRecv, 16) })
+	})
+	b := New()
+	b.InRegion("halo", func() { b.AddMetric("bytes_sent", 8) })
+	b.InRegion("cg", func() {
+		b.AddMetric("flop", 0.5)
+		b.InRegion("MPI_Allreduce", func() { b.Add(BytesSent, 0) })
+	})
+	a.Merge(b)
+
+	want := &legacyNode{Name: "main", Visits: 2, Children: []*legacyNode{
+		{Name: "cg", Visits: 2, Metrics: map[string]float64{"flop": sumInOrder(10, 0.5), "custom": 1}, Children: []*legacyNode{
+			{Name: "MPI_Allreduce", Visits: 2, Metrics: map[string]float64{"bytes_sent": 16, "bytes_recv": 16}},
+		}},
+		{Name: "halo", Visits: 1, Metrics: map[string]float64{"bytes_sent": 8}},
+	}}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(wantJSON) {
+		t.Fatalf("merged JSON\n got %s\nwant %s", got, wantJSON)
+	}
+
+	// Round trip: the restored tree re-serializes byte for byte and keeps
+	// accumulating into the restored slots and map.
+	var back Profiler
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(got) {
+		t.Fatalf("round trip\n got %s\nwant %s", again, got)
+	}
+	back.InRegion("cg", func() {
+		back.Add(Flop, 1)
+		back.AddMetric("custom", 2)
+	})
+	if got, want := back.PathMetric("main/cg", "flop"), sumInOrder(10, 0.5, 1); got != want {
+		t.Errorf("restored flop = %g, want %g", got, want)
+	}
+	if got := back.PathMetric("main/cg", "custom"); got != 3 {
+		t.Errorf("restored custom = %g, want 3", got)
 	}
 }

@@ -186,7 +186,7 @@ func TestWaitIdempotent(t *testing.T) {
 		// A second message would now deadlock the sender's Run teardown,
 		// but a double-send would have left one queued; verify none.
 		select {
-		case extra := <-p.world.chans[0][1]:
+		case extra := <-p.world.pair(0, 1):
 			return fmt.Errorf("unexpected extra message %v", extra)
 		default:
 		}

@@ -5,6 +5,7 @@ import (
 
 	"extrareq/internal/counters"
 	"extrareq/internal/obs"
+	"extrareq/internal/profile"
 )
 
 // Nonblocking point-to-point operations, modeled after MPI_Isend/Irecv.
@@ -46,14 +47,15 @@ func (p *Proc) Isend(dst int, data []float64) *Request {
 	nbytes := int64(len(msg) * bytesPerElem)
 	p.Counters.Add(counters.BytesSent, nbytes)
 	p.Counters.Add(counters.MsgsSent, 1)
-	p.Prof.AddMetric("bytes_sent", float64(nbytes))
+	p.Prof.Add(profile.BytesSent, float64(nbytes))
 	p.emit(obs.KindSend, "isend", dst, nbytes)
 	r := &Request{proc: p, dst: dst}
+	ch := p.world.pair(p.rank, dst)
 	if p.faults == nil {
 		// Healthy fast path: one eager enqueue attempt, no wire-message
 		// slice — only a full channel defers the transfer to Wait.
 		select {
-		case p.world.chans[p.rank][dst] <- msg:
+		case ch <- msg:
 			r.done = true
 		default:
 			r.pending = [][]float64{msg}
@@ -63,7 +65,7 @@ func (p *Proc) Isend(dst int, data []float64) *Request {
 	r.pending = p.outgoing(dst, msg)
 	for len(r.pending) > 0 {
 		select {
-		case p.world.chans[p.rank][dst] <- r.pending[0]:
+		case ch <- r.pending[0]:
 			r.pending = r.pending[1:]
 		default:
 			// Channel full: the transfer completes in Wait.
@@ -95,29 +97,17 @@ func (r *Request) Wait() []float64 {
 	p := r.proc
 	if r.isRecv {
 		p.checkCancel()
-		var msg []float64
-		select {
-		case msg = <-p.world.chans[r.src][p.rank]:
-		case <-p.world.cancel:
-			select {
-			case msg = <-p.world.chans[r.src][p.rank]:
-			default:
-				panic(cancelPanic{})
-			}
-		}
-		nbytes := int64(len(msg) * bytesPerElem)
-		p.Counters.Add(counters.BytesRecv, nbytes)
-		p.Counters.Add(counters.MsgsRecv, 1)
-		p.Prof.AddMetric("bytes_recv", float64(nbytes))
-		p.emit(obs.KindRecv, "irecv", r.src, nbytes)
+		msg := p.recvWire(r.src)
+		p.countRecv(r.src, "irecv", msg)
 		r.result = msg
 		r.done = true
 		return msg
 	}
+	ch := p.world.pair(p.rank, r.dst)
 	for len(r.pending) > 0 {
 		p.checkCancel()
 		select {
-		case p.world.chans[p.rank][r.dst] <- r.pending[0]:
+		case ch <- r.pending[0]:
 			r.pending = r.pending[1:]
 		case <-p.world.cancel:
 			panic(cancelPanic{})

@@ -21,6 +21,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"extrareq/internal/counters"
@@ -56,8 +57,12 @@ const bytesPerElem = 8
 
 // World owns the communication channels of one simulated job.
 type World struct {
-	size  int
-	chans [][]chan []float64 // chans[src][dst]
+	size, depth int
+	// chans[src*size+dst] is the src→dst channel, created on first use by
+	// either end (see pair): most proxies talk to a few neighbours, so
+	// eagerly allocating all size² channels of depth `depth` would cost far
+	// more than the messages they carry.
+	chans []atomic.Pointer[chan []float64]
 
 	// cancel is closed exactly once when the run is being torn down
 	// (timeout or context cancellation). Every blocking communication
@@ -65,6 +70,21 @@ type World struct {
 	// operation after cancellation.
 	cancel     chan struct{}
 	cancelOnce sync.Once
+}
+
+// pair returns the src→dst channel, creating it if neither end has used it
+// yet. Both ends may race to create it; the compare-and-swap publishes
+// exactly one channel and the loser adopts it.
+func (w *World) pair(src, dst int) chan []float64 {
+	slot := &w.chans[src*w.size+dst]
+	if c := slot.Load(); c != nil {
+		return *c
+	}
+	c := make(chan []float64, w.depth)
+	if slot.CompareAndSwap(nil, &c) {
+		return c
+	}
+	return *slot.Load()
 }
 
 // doCancel requests cancellation of every rank in the world. Idempotent.
@@ -250,12 +270,11 @@ func RunContext(ctx context.Context, size int, opt *Options, body func(*Proc) er
 		depth = opt.ChannelDepth
 	}
 	timeout, drain := resolveTimeouts(opt)
-	w := &World{size: size, chans: make([][]chan []float64, size), cancel: make(chan struct{})}
-	for s := 0; s < size; s++ {
-		w.chans[s] = make([]chan []float64, size)
-		for d := 0; d < size; d++ {
-			w.chans[s][d] = make(chan []float64, depth)
-		}
+	w := &World{
+		size:   size,
+		depth:  depth,
+		chans:  make([]atomic.Pointer[chan []float64], size*size),
+		cancel: make(chan struct{}),
 	}
 	// Resolve the fault plan (victim rank and death event) before any rank
 	// starts, so injected faults never depend on goroutine scheduling.
@@ -441,7 +460,7 @@ func (p *Proc) Send(dst int, data []float64) {
 	nbytes := int64(len(data) * bytesPerElem)
 	p.Counters.Add(counters.BytesSent, nbytes)
 	p.Counters.Add(counters.MsgsSent, 1)
-	p.Prof.AddMetric("bytes_sent", float64(nbytes))
+	p.Prof.Add(profile.BytesSent, float64(nbytes))
 	p.emit(obs.KindSend, "", dst, nbytes)
 }
 
@@ -449,7 +468,7 @@ func (p *Proc) Send(dst int, data []float64) {
 // a single non-blocking channel operation; only a full buffer falls back
 // to the blocking select against the cancel gate.
 func (p *Proc) sendWire(dst int, m []float64) {
-	ch := p.world.chans[p.rank][dst]
+	ch := p.world.pair(p.rank, dst)
 	select {
 	case ch <- m:
 		return
@@ -500,25 +519,44 @@ func (p *Proc) Recv(src int) []float64 {
 	}
 	p.checkCancel()
 	p.commEvent()
-	var msg []float64
+	msg := p.recvWire(src)
+	p.countRecv(src, "", msg)
+	return msg
+}
+
+// recvWire dequeues the next wire message from src. A message already
+// buffered is taken without touching the cancel gate; otherwise the rank
+// blocks on both. Either way a pending message wins over cancellation, so
+// ranks that have all their inputs buffered can still make progress
+// decisions; an empty channel in a cancelled run unwinds immediately.
+func (p *Proc) recvWire(src int) []float64 {
+	ch := p.world.pair(src, p.rank)
 	select {
-	case msg = <-p.world.chans[src][p.rank]:
+	case msg := <-ch:
+		return msg
+	default:
+	}
+	select {
+	case msg := <-ch:
+		return msg
 	case <-p.world.cancel:
-		// Prefer a pending message over unwinding, so ranks that have all
-		// their inputs already buffered can still make progress decisions;
-		// an empty channel unwinds immediately.
 		select {
-		case msg = <-p.world.chans[src][p.rank]:
+		case msg := <-ch:
+			return msg
 		default:
 			panic(cancelPanic{})
 		}
 	}
+}
+
+// countRecv records one received message from src in the counters, the
+// call-path profile and the trace.
+func (p *Proc) countRecv(src int, detail string, msg []float64) {
 	nbytes := int64(len(msg) * bytesPerElem)
 	p.Counters.Add(counters.BytesRecv, nbytes)
 	p.Counters.Add(counters.MsgsRecv, 1)
-	p.Prof.AddMetric("bytes_recv", float64(nbytes))
-	p.emit(obs.KindRecv, "", src, nbytes)
-	return msg
+	p.Prof.Add(profile.BytesRecv, float64(nbytes))
+	p.emit(obs.KindRecv, detail, src, nbytes)
 }
 
 // SendRecv sends sdata to dst and receives a message from src. The
@@ -543,17 +581,17 @@ func (p *Proc) SendRecv(dst int, sdata []float64, src int) []float64 {
 // AddFlops records floating-point operations.
 func (p *Proc) AddFlops(v int64) {
 	p.Counters.AddFlops(v)
-	p.Prof.AddMetric("flop", float64(v))
+	p.Prof.Add(profile.Flop, float64(v))
 }
 
 // AddLoads records load instructions.
 func (p *Proc) AddLoads(v int64) {
 	p.Counters.AddLoads(v)
-	p.Prof.AddMetric("loads", float64(v))
+	p.Prof.Add(profile.Loads, float64(v))
 }
 
 // AddStores records store instructions.
 func (p *Proc) AddStores(v int64) {
 	p.Counters.AddStores(v)
-	p.Prof.AddMetric("stores", float64(v))
+	p.Prof.Add(profile.Stores, float64(v))
 }

@@ -47,19 +47,22 @@ echo "== bench smoke (BenchmarkMeasure*, 1 iteration) =="
 go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 
 # Perf trajectory: run the paired fitting benchmarks (optimized vs reference
-# cvScore path), the end-to-end fitting pipeline, and the campaign cache
-# round trip, and record them as BENCH_<pr>.json via cmd/benchjson. The file
-# is committed with each PR and uploaded as a CI artifact, so fitting
-# performance across the repo's history is comparable without re-running old
-# revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
+# cvScore path), the end-to-end fitting pipeline, the campaign cache round
+# trip, and the simulated runs themselves (the five proxies and a 64-rank
+# allreduce, whose allocs/op track the measurement hot path), and record
+# them as BENCH_<pr>.json via cmd/benchjson. The file is committed with each
+# PR and uploaded as a CI artifact, so performance across the repo's history
+# is comparable without re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
 # measurement stability.
-BENCH_PR=${BENCH_PR:-10}
+BENCH_PR=${BENCH_PR:-12}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {
     go test -run=NONE -bench='BenchmarkFit(Single|Multi)(Optimized|Reference)' \
         -benchmem -benchtime="${BENCH_TIME}" ./internal/modeling/
     go test -run=NONE -bench='BenchmarkFitPipeline' \
+        -benchmem -benchtime="${BENCH_TIME}" .
+    go test -run=NONE -bench='BenchmarkProxyAppStep|BenchmarkSimMPIAllreduce' \
         -benchmem -benchtime="${BENCH_TIME}" .
     # Campaign benches run at the full BENCH_TIME: the single-iteration runs
     # recorded through BENCH_9 made the warm/cold overlap numbers pure

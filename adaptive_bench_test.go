@@ -11,6 +11,8 @@ package extrareq
 import (
 	"context"
 	"testing"
+
+	"extrareq/internal/modeling"
 )
 
 func benchmarkAdaptiveVsFullGrid(b *testing.B, adaptiveRun bool) {
@@ -36,3 +38,24 @@ func benchmarkAdaptiveVsFullGrid(b *testing.B, adaptiveRun bool) {
 
 func BenchmarkAdaptiveVsFullGridAdaptive(b *testing.B) { benchmarkAdaptiveVsFullGrid(b, true) }
 func BenchmarkAdaptiveVsFullGridFullGrid(b *testing.B) { benchmarkAdaptiveVsFullGrid(b, false) }
+
+// BenchmarkAdaptiveRun is an adaptive Run with model fitting, the way
+// reqgen -adaptive runs it: each iteration refines every proxy's benchGrid
+// through a fresh in-memory scheduler and fits the final models, the step
+// the pair above skips. fit-cache-hits/op counts the final-fit tasks
+// served from the interim fits' cache (5 per proxy when every last-round
+// fit is reused).
+func BenchmarkAdaptiveRun(b *testing.B) {
+	b.ReportAllocs()
+	reg := NewMetricsRegistry()
+	for i := 0; i < b.N; i++ {
+		for _, name := range PaperAppNames() {
+			_, err := Run(context.Background(), Spec{App: name, Grid: benchGrid},
+				WithRetries(2), WithAdaptiveGrid(AdaptiveOptions{}), WithObservability(reg, nil))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(reg.Counter(modeling.MetricFitCacheHits).Value())/float64(b.N), "fit-cache-hits/op")
+}

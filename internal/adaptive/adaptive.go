@@ -65,6 +65,13 @@ type Options struct {
 	// snapshots). Like the observability handles it does not participate
 	// in the cache key.
 	Progress func(Update) `json:"-"`
+	// FitCache, when non-nil, memoizes the interim fits; a caller that
+	// passes the cache it then fits the finished campaign with gets the
+	// last round's fits back as hits. Nil gives each run a cache of its
+	// own, which still shares baseline-line searches between rounds. Fits
+	// are pure functions of their content, so the cache never changes a
+	// result and does not participate in the cache key.
+	FitCache *modeling.FitCache `json:"-"`
 }
 
 // Update is one refinement progress snapshot. Saved stays 0 until the run
@@ -176,6 +183,9 @@ func Run(ctx context.Context, r Runner, req campaign.Request, opts Options) (*Re
 	}
 	e.full = len(e.procs) * len(e.ns)
 	e.opts = opts.defaults(e.full)
+	if e.opts.FitCache == nil {
+		e.opts.FitCache = modeling.NewFitCache()
+	}
 	e.key = ComputeKey(req, opts)
 	e.samples = make(map[[2]int]workload.Sample, e.opts.MaxPoints)
 	e.outcomes = make(map[[2]int]workload.ConfigOutcome, e.opts.MaxPoints)
@@ -489,7 +499,7 @@ func (e *engine) fit() (*workload.FitResult, error) {
 	}
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = min(opts.MinPoints, len(e.procs), len(e.ns))
-	return workload.FitParallel(c, opts, 0, nil)
+	return workload.FitParallel(c, opts, 0, e.opts.FitCache)
 }
 
 // pick scores the remaining candidates and returns the top k. The score of

@@ -29,6 +29,14 @@ func FitMulti(params []string, ms []Measurement, opts *Options) (*ModelInfo, err
 // FitMultiAggregated is FitMulti with a custom aggregator over repeated
 // observations.
 func FitMultiAggregated(params []string, ms []Measurement, agg func(Measurement) float64, opts *Options) (*ModelInfo, error) {
+	return fitMultiAggregated(params, ms, agg, opts, nil)
+}
+
+// fitMultiAggregated is FitMultiAggregated taking step 1's baseline-line
+// searches from cache (nil: search every line). A line's harvest is a pure
+// function of what lineFingerprint hashes, so a memoized line yields the
+// same model, bit for bit, as a fresh search.
+func fitMultiAggregated(params []string, ms []Measurement, agg func(Measurement) float64, opts *Options, cache *FitCache) (*ModelInfo, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
@@ -57,30 +65,11 @@ func FitMultiAggregated(params []string, ms []Measurement, agg func(Measurement)
 		line := baselineLine(pts, l)
 		lineOpts := *opts
 		lineOpts.MinPoints = min(opts.MinPoints, distinctCoords(line, 0))
-		add := func(m *pmnf.Model) {
-			for _, t := range m.Terms {
-				if t.Coeff == 0 || t.Factors[0].IsOne() {
-					continue
-				}
-				if !containsFactor(perParam[l], t.Factors[0]) {
-					perParam[l] = append(perParam[l], t.Factors[0])
-				}
-			}
-		}
-		info, roundOne, err := fitIterativeHarvest([]string{params[l]}, line, singleTermCandidates(params[l], &lineOpts), &lineOpts)
+		fs, err := cache.lineFactors(params[l], line, &lineOpts)
 		if err != nil {
 			return nil, fmt.Errorf("modeling: single-parameter model for %s: %w", params[l], err)
 		}
-		add(info.Model)
-		// The combination hypothesis space is only as good as the factor
-		// pool harvested here, and a multi-term winner on a short noisy
-		// baseline can be an artifact of that line's noise. Harvest the best
-		// single-term shape as well — the factor that explains the line on
-		// its own (the round-one Occam winner of the same search) — and let
-		// the full-grid cross-validation in step 3 arbitrate between shapes.
-		if roundOne != nil {
-			add(roundOne)
-		}
+		perParam[l] = fs
 	}
 
 	// Step 2: build combination hypotheses.
@@ -120,6 +109,38 @@ func FitMultiAggregated(params []string, ms []Measurement, agg func(Measurement)
 		return finishInfo(m, pts, cc, opts), nil
 	}
 	return finishInfo(best.model, pts, best.score, opts), nil
+}
+
+// harvestLine is step 1 of a multi-parameter fit for one parameter: the
+// distinct non-constant factors of the single-parameter model fitted along
+// the parameter's baseline line, in harvest order.
+func harvestLine(param string, line []point, opts *Options) ([]pmnf.Factor, error) {
+	var fs []pmnf.Factor
+	add := func(m *pmnf.Model) {
+		for _, t := range m.Terms {
+			if t.Coeff == 0 || t.Factors[0].IsOne() {
+				continue
+			}
+			if !containsFactor(fs, t.Factors[0]) {
+				fs = append(fs, t.Factors[0])
+			}
+		}
+	}
+	info, roundOne, err := fitIterativeHarvest([]string{param}, line, singleTermCandidates(param, opts), opts)
+	if err != nil {
+		return nil, err
+	}
+	add(info.Model)
+	// The combination hypothesis space is only as good as the factor pool
+	// harvested here, and a multi-term winner on a short noisy baseline can
+	// be an artifact of that line's noise. Harvest the best single-term
+	// shape as well — the factor that explains the line on its own (the
+	// round-one Occam winner of the same search) — and let the full-grid
+	// cross-validation in step 3 arbitrate between shapes.
+	if roundOne != nil {
+		add(roundOne)
+	}
+	return fs, nil
 }
 
 // baselineLine extracts the 1-D slice of points along parameter l where all

@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 	"math"
 	"runtime"
 	"runtime/pprof"
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"extrareq/internal/obs"
+	"extrareq/internal/pmnf"
 )
 
 // Agg names a deterministic aggregator over repeated observations. Fit
@@ -179,7 +181,7 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		return o
 	}
 	fit := func() (*ModelInfo, error) {
-		return FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
+		return fitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts, cache)
 	}
 	if cache == nil {
 		info, err := fit()
@@ -197,17 +199,25 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 // single-flight: the first claimant of a fingerprint fits it, and every
 // later claimant, concurrent or not, waits for and shares that result, so
 // each content key is fitted exactly once.
+//
+// Below the whole fits it also memoizes, under the same rules, the factors
+// a multi-parameter fit harvests from each parameter's baseline line
+// (FitMultiAggregated's step 1), so fits whose series share a baseline
+// line search it once. Len, Hits and fit_cache_hits_total count whole fits
+// only.
 type FitCache struct {
-	mu      sync.Mutex
-	entries map[[sha256.Size]byte]*fitEntry
-	hits    atomic.Int64
+	mu       sync.Mutex
+	entries  map[[sha256.Size]byte]*flight[*ModelInfo]
+	lines    map[[sha256.Size]byte]*flight[[]pmnf.Factor]
+	hits     atomic.Int64
+	lineHits atomic.Int64
 }
 
-// fitEntry is one fingerprint's fit; done is closed once info and err are
-// final.
-type fitEntry struct {
+// flight is one fingerprint's computation; done is closed once val and err
+// are final.
+type flight[T any] struct {
 	done chan struct{}
-	info *ModelInfo
+	val  T
 	err  error
 }
 
@@ -217,7 +227,10 @@ var errFitPanicked = errors.New("modeling: fit panicked")
 
 // NewFitCache returns an empty cache.
 func NewFitCache() *FitCache {
-	return &FitCache{entries: map[[sha256.Size]byte]*fitEntry{}}
+	return &FitCache{
+		entries: map[[sha256.Size]byte]*flight[*ModelInfo]{},
+		lines:   map[[sha256.Size]byte]*flight[[]pmnf.Factor]{},
+	}
 }
 
 // Len reports the number of cached fits (including any in progress).
@@ -231,32 +244,57 @@ func (c *FitCache) Len() int {
 func (c *FitCache) Hits() int64 { return c.hits.Load() }
 
 // do returns the fit for fp, running fit if fp has no entry yet and
-// otherwise waiting for the entry's claimant; hit reports the latter. If
-// fit panics, its waiters get errFitPanicked, the entry is dropped so a
-// later claimant fits afresh, and the panic propagates.
+// otherwise waiting for the entry's claimant; hit reports the latter.
 func (c *FitCache) do(fp [sha256.Size]byte, fit func() (*ModelInfo, error)) (info *ModelInfo, err error, hit bool) {
-	c.mu.Lock()
-	if e, ok := c.entries[fp]; ok {
-		c.mu.Unlock()
-		<-e.done
+	info, hit, err = singleFlight(&c.mu, c.entries, fp, fit)
+	if hit {
 		c.hits.Add(1)
-		return e.info, e.err, true
 	}
-	e := &fitEntry{done: make(chan struct{}), err: errFitPanicked}
-	c.entries[fp] = e
-	c.mu.Unlock()
+	return info, err, hit
+}
+
+// lineFactors returns the factors harvested from one parameter's baseline
+// line (see harvestLine), searching the line only if no fit sharing this
+// cache has searched it yet. A nil cache always searches. The returned
+// slice may be shared and must be treated as read-only.
+func (c *FitCache) lineFactors(param string, line []point, opts *Options) ([]pmnf.Factor, error) {
+	search := func() ([]pmnf.Factor, error) { return harvestLine(param, line, opts) }
+	if c == nil {
+		return search()
+	}
+	fs, hit, err := singleFlight(&c.mu, c.lines, lineFingerprint(param, line, opts), search)
+	if hit {
+		c.lineHits.Add(1)
+	}
+	return fs, err
+}
+
+// singleFlight returns m[fp]'s value, running fn if fp has no entry yet
+// and otherwise waiting for the entry's claimant; hit reports the latter.
+// If fn panics, its waiters get errFitPanicked, the entry is dropped so a
+// later claimant runs fn afresh, and the panic propagates. mu guards m.
+func singleFlight[T any](mu *sync.Mutex, m map[[sha256.Size]byte]*flight[T], fp [sha256.Size]byte, fn func() (T, error)) (val T, hit bool, err error) {
+	mu.Lock()
+	if e, ok := m[fp]; ok {
+		mu.Unlock()
+		<-e.done
+		return e.val, true, e.err
+	}
+	e := &flight[T]{done: make(chan struct{}), err: errFitPanicked}
+	m[fp] = e
+	mu.Unlock()
 	finished := false
 	defer func() {
 		if !finished {
-			c.mu.Lock()
-			delete(c.entries, fp)
-			c.mu.Unlock()
+			mu.Lock()
+			delete(m, fp)
+			mu.Unlock()
 		}
 		close(e.done)
 	}()
-	e.info, e.err = fit()
+	e.val, e.err = fn()
 	finished = true
-	return e.info, e.err, false
+	return e.val, false, e.err
 }
 
 // fingerprint hashes the content of a fit task: parameters, measurements,
@@ -264,46 +302,21 @@ func (c *FitCache) do(fp [sha256.Size]byte, fit func() (*ModelInfo, error)) (inf
 // task Key is deliberately excluded — identical series fitted under
 // different labels share one cache entry.
 func fingerprint(t FitTask) [sha256.Size]byte {
-	h := sha256.New()
-	buf := make([]byte, 8)
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf, v)
-		h.Write(buf)
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-
-	str(t.Agg.String())
-	u64(uint64(len(t.Params)))
+	h := newHasher()
+	h.str(t.Agg.String())
+	h.u64(uint64(len(t.Params)))
 	for _, p := range t.Params {
-		str(p)
+		h.str(p)
 	}
-	u64(uint64(len(t.Ms)))
+	h.u64(uint64(len(t.Ms)))
 	for _, m := range t.Ms {
-		u64(uint64(len(m.Coords)))
-		for _, c := range m.Coords {
-			f64(c)
-		}
-		u64(uint64(len(m.Values)))
-		for _, v := range m.Values {
-			f64(v)
-		}
+		h.floats(m.Coords)
+		h.floats(m.Values)
 	}
 
 	opts := t.Opts
 	if opts == nil {
 		opts = DefaultOptions()
-	}
-	u64(uint64(len(opts.PolyExponents)))
-	for _, e := range opts.PolyExponents {
-		f64(e)
-	}
-	u64(uint64(len(opts.LogExponents)))
-	for _, e := range opts.LogExponents {
-		f64(e)
 	}
 	colls := make([]string, 0, len(opts.Collectives))
 	for k, v := range opts.Collectives {
@@ -312,28 +325,86 @@ func fingerprint(t FitTask) [sha256.Size]byte {
 		}
 	}
 	sort.Strings(colls)
-	u64(uint64(len(colls)))
-	for _, k := range colls {
-		str(k)
+	h.options(opts, colls)
+	return h.sum()
+}
+
+// lineFingerprint hashes one baseline-line search: the parameter, the
+// line's aggregated points, and every option the search reads — opts is
+// the line's own options, with MinPoints already lowered to the line, and
+// of the collectives only the line parameter's own flag matters.
+func lineFingerprint(param string, line []point, opts *Options) [sha256.Size]byte {
+	h := newHasher()
+	h.str(param)
+	h.u64(uint64(len(line)))
+	for _, pt := range line {
+		h.floats(pt.x)
+		h.f64(pt.y)
 	}
-	u64(uint64(opts.MaxTerms))
-	f64(opts.Improvement)
-	if opts.AllowNegative {
-		u64(1)
+	var colls []string
+	if opts.Collectives[param] {
+		colls = []string{param}
+	}
+	h.options(opts, colls)
+	return h.sum()
+}
+
+// hasher writes length-prefixed, fixed-width fields into a SHA-256 state.
+type hasher struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newHasher() *hasher { return &hasher{h: sha256.New()} }
+
+func (h *hasher) u64(v uint64) {
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.h.Write(h.buf[:])
+}
+
+func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
+
+func (h *hasher) flag(b bool) {
+	if b {
+		h.u64(1)
 	} else {
-		u64(0)
+		h.u64(0)
 	}
-	f64(opts.NoiseFloor)
-	u64(uint64(opts.MinPoints))
+}
+
+func (h *hasher) str(s string) {
+	h.u64(uint64(len(s)))
+	h.h.Write([]byte(s))
+}
+
+func (h *hasher) floats(xs []float64) {
+	h.u64(uint64(len(xs)))
+	for _, x := range xs {
+		h.f64(x)
+	}
+}
+
+// options writes every generator option a search reads, with colls (sorted)
+// standing for the collectives in effect.
+func (h *hasher) options(o *Options, colls []string) {
+	h.floats(o.PolyExponents)
+	h.floats(o.LogExponents)
+	h.u64(uint64(len(colls)))
+	for _, k := range colls {
+		h.str(k)
+	}
+	h.u64(uint64(o.MaxTerms))
+	h.f64(o.Improvement)
+	h.flag(o.AllowNegative)
+	h.f64(o.NoiseFloor)
+	h.u64(uint64(o.MinPoints))
 	// The reference-path flag is fingerprinted so equivalence tests that
 	// fit the same series through both paths never share a cache entry.
-	if opts.reference {
-		u64(1)
-	} else {
-		u64(0)
-	}
+	h.flag(o.reference)
+}
 
+func (h *hasher) sum() [sha256.Size]byte {
 	var fp [sha256.Size]byte
-	h.Sum(fp[:0])
+	h.h.Sum(fp[:0])
 	return fp
 }

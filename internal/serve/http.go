@@ -250,15 +250,16 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Small campaigns (below the paper's 5-points-per-parameter rule of
-	// thumb) still deserve an answer over HTTP; lower the floor to what the
-	// grid actually measured.
+	// thumb) still deserve an answer over HTTP; lower the floor to the
+	// distinct values the samples hold. The grid's axis lengths overstate
+	// them when axis values repeat, when an adaptive run measured a subset,
+	// or when points were quarantined.
+	ps, ns := map[int]bool{}, map[int]bool{}
+	for _, smp := range c.Samples {
+		ps[smp.P], ns[smp.N] = true, true
+	}
 	fitOpts := modeling.DefaultOptions()
-	if n := len(c.Grid.Procs); n < fitOpts.MinPoints {
-		fitOpts.MinPoints = n
-	}
-	if n := len(c.Grid.Ns); n < fitOpts.MinPoints {
-		fitOpts.MinPoints = n
-	}
+	fitOpts.MinPoints = min(fitOpts.MinPoints, len(ps), len(ns))
 	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, fitOpts, 0, modeling.NewFitCache(), s.opts.Metrics)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, 0, fmt.Sprintf("fitting models: %v", err))

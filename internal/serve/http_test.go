@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"extrareq/internal/campaign"
+	"extrareq/internal/metrics"
 	"extrareq/internal/obs"
 )
 
@@ -77,6 +78,33 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// A grid that repeats axis values measures fewer distinct values than it
+// lists; the models endpoint must still answer with all five models.
+func TestHTTPModelsRepeatedAxisValues(t *testing.T) {
+	_, ts := newHTTPServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v1/campaigns",
+		`{"app":"Kripke","grid":{"procs":[2,4,4],"ns":[64,128,128],"seed":1}}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	key := resp.Header.Get("X-Campaign-Key")
+	respM, bodyM := getJSON(t, ts.URL+"/v1/campaigns/"+key+"/models")
+	if respM.StatusCode != http.StatusOK {
+		t.Fatalf("models: status %d: %s", respM.StatusCode, bodyM)
+	}
+	var models struct {
+		Models map[string]json.RawMessage `json:"models"`
+	}
+	if err := json.Unmarshal(bodyM, &models); err != nil {
+		t.Fatalf("models response not JSON: %v\n%s", err, bodyM)
+	}
+	for _, m := range metrics.All() {
+		if _, ok := models.Models[m.String()]; !ok {
+			t.Errorf("models response lacks %s: %s", m, bodyM)
+		}
+	}
 }
 
 // End-to-end submit against the real scheduler: fresh run, then a cache

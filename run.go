@@ -65,7 +65,8 @@ type AdaptiveSummary struct {
 
 // AdaptiveOptions tune WithAdaptiveGrid's refinement loop; the zero value
 // selects the documented defaults (batch ≈ grid/8, budget = half the grid,
-// 2% improvement threshold, one stable round).
+// 2% improvement threshold, one stable round). Run and RunAll replace
+// FitCache with the cache of their own final fit.
 type AdaptiveOptions = adaptive.Options
 
 // Option configures Run and RunAll.
@@ -241,7 +242,8 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	defer sched.Close()
-	res, err := runRequest(ctx, sched, &cfg, campaign.Request{
+	fc := NewFitCache()
+	res, err := runRequest(ctx, sched, &cfg, fc, campaign.Request{
 		App:       app,
 		Grid:      grid,
 		Faults:    cfg.faults,
@@ -256,7 +258,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	if !cfg.model {
 		return res, nil
 	}
-	fits, _, err := workload.FitAllObserved([]*Campaign{res.Campaign}, cfg.modelOpts, 0, NewFitCache(), cfg.reg)
+	fits, _, err := workload.FitAllObserved([]*Campaign{res.Campaign}, cfg.modelOpts, 0, fc, cfg.reg)
 	if err != nil {
 		return res, err
 	}
@@ -266,11 +268,15 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 
 // runRequest executes one campaign request through sched — fixed-grid or,
 // with WithAdaptiveGrid, model-driven — and converts the outcome into a
-// Result (models are fitted by the caller). On error the Result still
-// carries whatever report was produced.
-func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, req campaign.Request) (*Result, error) {
+// Result (models are fitted by the caller). An adaptive run fits its
+// interim models through fc, so the caller's final fit over fc finds the
+// last round's fits. On error the Result still carries whatever report was
+// produced.
+func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, fc *FitCache, req campaign.Request) (*Result, error) {
 	if cfg.adaptive != nil {
-		aout, err := adaptive.Run(ctx, sched, req, *cfg.adaptive)
+		o := *cfg.adaptive
+		o.FitCache = fc
+		aout, err := adaptive.Run(ctx, sched, req, o)
 		if err != nil {
 			return &Result{}, err
 		}
@@ -338,6 +344,7 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 	// One goroutine per app over the shared scheduler (RunBatch semantics);
 	// adaptive runs are independent per app, so they refine concurrently
 	// while their sub-requests share the pool and point cache.
+	fc := NewFitCache()
 	results := make([]*Result, len(all))
 	campaigns := make([]*Campaign, len(all))
 	errs := make([]error, len(all))
@@ -346,7 +353,7 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = runRequest(ctx, sched, &cfg, reqs[i])
+			results[i], errs[i] = runRequest(ctx, sched, &cfg, fc, reqs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -361,7 +368,7 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 	if !cfg.model {
 		return results, nil, nil
 	}
-	fits, classes, err := workload.FitAllObserved(campaigns, cfg.modelOpts, 0, NewFitCache(), cfg.reg)
+	fits, classes, err := workload.FitAllObserved(campaigns, cfg.modelOpts, 0, fc, cfg.reg)
 	if err != nil {
 		return results, nil, err
 	}

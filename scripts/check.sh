@@ -54,7 +54,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # PR and uploaded as a CI artifact, so performance across the repo's history
 # is comparable without re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
 # measurement stability.
-BENCH_PR=${BENCH_PR:-12}
+BENCH_PR=${BENCH_PR:-18}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {
@@ -78,6 +78,11 @@ echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
     # headline the PR gate asserts on below.
     go test -run=NONE -bench='BenchmarkAdaptiveVsFullGrid' \
         -benchmem -benchtime=1x .
+    # The adaptive path with model fitting, which the pair above skips. An
+    # op takes about a quarter of a second, so BENCH_TIME would stop after
+    # one or two iterations; a fixed count of five steadies the mean.
+    go test -run=NONE -bench='BenchmarkAdaptiveRun$' \
+        -benchmem -benchtime=5x .
 } | go run ./cmd/benchjson -pr "${BENCH_PR}" > "BENCH_${BENCH_PR}.json"
 echo "wrote BENCH_${BENCH_PR}.json"
 

@@ -148,7 +148,8 @@ func TestDrainTimeoutAbandons(t *testing.T) {
 }
 
 // TestCancelledCollective verifies that ranks parked inside a collective
-// unwind on cancellation (collectives are built on Send/Recv).
+// unwind on cancellation (a fault-free world's Allreduce parks at a
+// rendezvous that selects on the cancel gate, as Send/Recv do).
 func TestCancelledCollective(t *testing.T) {
 	results, err := RunOpt(4, &Options{Timeout: 50 * time.Millisecond}, func(p *Proc) error {
 		if p.Rank() == 0 {

@@ -13,6 +13,12 @@ import "fmt"
 //	Allgather  ring, p-1 steps of m bytes each
 //	Alltoall   pairwise exchange, p-1 rounds
 //
+// The code here runs each algorithm message by message over the rank-pair
+// channels. In a fault-free world Allreduce and Alltoall, the collectives
+// the proxies call in their loops, instead complete at a rendezvous
+// (rendezvous.go) with the same outputs and the same per-message
+// accounting; with a FaultPlan they take the message path too.
+//
 // Every collective runs inside an "MPI_<Name>" profiler region so that the
 // communication volume is attributed to the application call path that
 // issued it, like Score-P does.
@@ -114,12 +120,12 @@ func (p *Proc) Reduce(root int, data []float64, op Op) []float64 {
 func (p *Proc) Allreduce(data []float64, op Op) []float64 {
 	var out []float64
 	p.collective("MPI_Allreduce", len(data), func() {
-		acc := p.clone(data)
-		p2 := 1
-		for p2*2 <= p.size {
-			p2 *= 2
+		if p.faults == nil {
+			out = p.meetAllreduce(data, op)
+			return
 		}
-		extra := p.size - p2
+		acc := p.clone(data)
+		p2, extra := pow2Split(p.size)
 		// Fold the extra ranks into the power-of-two group.
 		if p.rank >= p2 {
 			p.Send(p.rank-p2, acc)
@@ -180,6 +186,10 @@ func (p *Proc) Alltoall(chunks [][]float64) [][]float64 {
 	}
 	out := make([][]float64, p.size)
 	p.collective("MPI_Alltoall", len(chunks[p.rank]), func() {
+		if p.faults == nil {
+			p.meetAlltoall(chunks, out)
+			return
+		}
 		out[p.rank] = append([]float64(nil), chunks[p.rank]...)
 		for step := 1; step < p.size; step++ {
 			dst := (p.rank + step) % p.size
@@ -188,4 +198,14 @@ func (p *Proc) Alltoall(chunks [][]float64) [][]float64 {
 		}
 	})
 	return out
+}
+
+// pow2Split returns the largest power of two p2 <= size and the number of
+// ranks beyond it, which recursive doubling folds into the first ones.
+func pow2Split(size int) (p2, extra int) {
+	p2 = 1
+	for p2*2 <= size {
+		p2 *= 2
+	}
+	return p2, size - p2
 }

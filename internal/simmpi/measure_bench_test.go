@@ -54,61 +54,54 @@ func BenchmarkMeasurePointToPoint(b *testing.B) {
 }
 
 // BenchmarkMeasureCollectives exercises the collective algorithms the
-// proxy apps lean on (allreduce for CG solvers, allgather for halo
-// assembly, alltoall for transposes).
+// proxy apps lean on (allreduce for CG solvers, bcast for parameters,
+// allgather for halo assembly, alltoall for transposes), at 16 ranks and
+// at 32, the largest world of the study grid. Each Bcast rank writes into
+// its own buffer; every Alltoall rank sends a 256-element vector split
+// into one block per rank.
 func BenchmarkMeasureCollectives(b *testing.B) {
-	const (
-		ranks = 16
-		elems = 256
-	)
+	const elems = 256
 	payload := make([]float64, elems)
 	for i := range payload {
 		payload[i] = float64(i)
 	}
-	b.Run("Allreduce", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ranks, func(p *Proc) error {
-				p.Allreduce(payload, Sum)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
+	cases := []struct {
+		name string
+		body func(p *Proc, bufs [][]float64)
+	}{
+		{"Allreduce", func(p *Proc, _ [][]float64) { p.Allreduce(payload, Sum) }},
+		{"Bcast", func(p *Proc, bufs [][]float64) { p.Bcast(0, bufs[p.Rank()]) }},
+		{"Allgather", func(p *Proc, _ [][]float64) { p.Allgather(payload) }},
+		{"Alltoall", func(p *Proc, _ [][]float64) {
+			chunks := make([][]float64, p.Size())
+			m := elems / p.Size()
+			for d := range chunks {
+				chunks[d] = payload[d*m : (d+1)*m]
 			}
+			p.Alltoall(chunks)
+		}},
+		{"Reduce", func(p *Proc, _ [][]float64) { p.Reduce(0, payload, Sum) }},
+		{"Barrier", func(p *Proc, _ [][]float64) { p.Barrier() }},
+	}
+	for _, c := range cases {
+		for _, ranks := range []int{16, 32} {
+			b.Run(fmt.Sprintf("%s/p=%d", c.name, ranks), func(b *testing.B) {
+				bufs := make([][]float64, ranks)
+				for r := range bufs {
+					bufs[r] = append([]float64(nil), payload...)
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := Run(ranks, func(p *Proc) error {
+						c.body(p, bufs)
+						return nil
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("Allgather", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ranks, func(p *Proc) error {
-				p.Allgather(payload)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Reduce", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ranks, func(p *Proc) error {
-				p.Reduce(0, payload, Sum)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Barrier", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ranks, func(p *Proc) error {
-				p.Barrier()
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMeasureHaloExchange is the nonblocking halo pattern every

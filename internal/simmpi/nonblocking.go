@@ -1,12 +1,6 @@
 package simmpi
 
-import (
-	"fmt"
-
-	"extrareq/internal/counters"
-	"extrareq/internal/obs"
-	"extrareq/internal/profile"
-)
+import "fmt"
 
 // Nonblocking point-to-point operations, modeled after MPI_Isend/Irecv.
 //
@@ -44,11 +38,7 @@ func (p *Proc) Isend(dst int, data []float64) *Request {
 	}
 	p.commEvent()
 	msg := p.clone(data)
-	nbytes := int64(len(msg) * bytesPerElem)
-	p.Counters.Add(counters.BytesSent, nbytes)
-	p.Counters.Add(counters.MsgsSent, 1)
-	p.Prof.Add(profile.BytesSent, float64(nbytes))
-	p.emit(obs.KindSend, "isend", dst, nbytes)
+	p.countSend(dst, "isend", int64(len(msg)*bytesPerElem))
 	r := &Request{proc: p, dst: dst}
 	ch := p.world.pair(p.rank, dst)
 	if p.faults == nil {
@@ -98,7 +88,7 @@ func (r *Request) Wait() []float64 {
 	if r.isRecv {
 		p.checkCancel()
 		msg := p.recvWire(r.src)
-		p.countRecv(r.src, "irecv", msg)
+		p.countRecv(r.src, "irecv", int64(len(msg)*bytesPerElem))
 		r.result = msg
 		r.done = true
 		return msg

@@ -1,17 +1,21 @@
 // Package simmpi is a functional, in-process MPI substitute: each rank runs
-// as a goroutine, point-to-point messages travel over Go channels, and the
-// collectives are implemented with the standard algorithms (recursive
-// doubling, binomial trees, ring and pairwise exchange) so that the number
-// of bytes each process injects into and receives from the network matches
-// what a real MPI library exhibits.
+// as a goroutine and point-to-point messages travel over Go channels. The
+// collectives follow the standard algorithms (recursive doubling, binomial
+// trees, ring and pairwise exchange) so that the number of bytes each
+// process injects into and receives from the network matches what a real
+// MPI library exhibits. They run message by message over the rank-pair
+// channels, except that in a fault-free world Allreduce and Alltoall
+// complete at one world-level rendezvous that computes the same results and
+// charges each rank the same messages (see rendezvous.go). With a FaultPlan
+// those two run over messages too, because faults act per message.
 //
 // This is the substitution for the paper's physical test systems (JUQUEEN,
 // Lichtenberg): the requirements metrics of Table I are counts at the
 // hardware/software interface, and a functional runtime produces exactly
-// those per-process counts. Every Send/Recv updates the owning process's
-// counters.Set (BytesSent/BytesRecv) and attributes the volume to the
-// current call path of the process's profiler, mirroring Score-P's
-// per-call-path attribution.
+// those per-process counts. Every message a rank sends or receives updates
+// the owning process's counters.Set (BytesSent/BytesRecv) and attributes
+// the volume to the current call path of the process's profiler, mirroring
+// Score-P's per-call-path attribution.
 package simmpi
 
 import (
@@ -39,14 +43,21 @@ const (
 	Min
 )
 
+// apply combines src into dst element-wise. src must be at least as long as
+// dst: a shorter operand panics on its first missing element, so a
+// mismatched message fails its rank instead of reading a stale tail.
 func (o Op) apply(dst, src []float64) {
-	for i := range dst {
-		switch o {
-		case Sum:
+	switch o {
+	case Sum:
+		for i := range dst {
 			dst[i] += src[i]
-		case Max:
+		}
+	case Max:
+		for i := range dst {
 			dst[i] = math.Max(dst[i], src[i])
-		case Min:
+		}
+	case Min:
+		for i := range dst {
 			dst[i] = math.Min(dst[i], src[i])
 		}
 	}
@@ -70,6 +81,11 @@ type World struct {
 	// operation after cancellation.
 	cancel     chan struct{}
 	cancelOnce sync.Once
+
+	// meets are the rendezvous of a fault-free world's Allreduce and
+	// Alltoall calls, allocated by the first of them (see meetings).
+	meets    *[2]meeting
+	meetOnce sync.Once
 }
 
 // pair returns the src→dst channel, creating it if neither end has used it
@@ -110,11 +126,13 @@ type Proc struct {
 	// faults holds the rank's resolved fault-injection state (nil when the
 	// run has no FaultPlan); ring is the rank's trace buffer (nil when the
 	// run has no Tracer); free is the rank's message-buffer freelist (see
-	// pool.go). All four are owned by the rank goroutine.
+	// pool.go); colls counts the rendezvous the rank has entered. All five
+	// are owned by the rank goroutine.
 	events int64
 	faults *rankFaults
 	ring   *obs.Ring
 	free   [][]float64
+	colls  int
 }
 
 // emit records one trace event when tracing is enabled.
@@ -126,7 +144,8 @@ func (p *Proc) emit(kind obs.Kind, detail string, peer int, bytes int64) {
 
 // collective marks entry into the named collective in the trace and runs
 // body inside the matching profiler region, so both the event stream and
-// the call-path profile attribute the constituent point-to-point traffic.
+// the call-path profile attribute the collective's messages to it, whether
+// body exchanges them over the channels or charges them after a rendezvous.
 func (p *Proc) collective(name string, elems int, body func()) {
 	p.emit(obs.KindCollective, name, -1, int64(elems)*bytesPerElem)
 	p.Prof.InRegion(name, body)
@@ -250,11 +269,12 @@ func RunOpt(size int, opt *Options, body func(*Proc) error) ([]Result, error) {
 
 // RunContext is Run with explicit options and a cancellation signal.
 // Cancelling ctx (or hitting Options.Timeout) closes the world's cancel
-// gate: every rank blocked in Send/Recv/Wait unwinds with ErrCancelled as
-// its per-rank error, cooperative bodies can poll Proc.Cancelled, and
-// RunContext returns the partial per-rank results only after every rank
-// goroutine has exited — each goroutine writes exclusively its own result
-// slot and the slice is read strictly after the rendezvous, so the run is
+// gate: every rank blocked in Send/Recv/Wait or parked at an Allreduce or
+// Alltoall rendezvous unwinds with ErrCancelled as its per-rank error,
+// cooperative bodies can poll Proc.Cancelled, and RunContext returns the
+// partial per-rank results only after every rank goroutine has exited —
+// each goroutine writes exclusively its own result slot and the slice is
+// read strictly after the goroutines' wait group completes, so the run is
 // race-free on every path. The run-level error is ErrTimeout for a
 // watchdog expiry and wraps ErrCancelled (with context.Cause) for a
 // context cancellation.
@@ -457,11 +477,16 @@ func (p *Proc) Send(dst int, data []float64) {
 			p.sendWire(dst, m)
 		}
 	}
-	nbytes := int64(len(data) * bytesPerElem)
+	p.countSend(dst, "", int64(len(data)*bytesPerElem))
+}
+
+// countSend records one message of nbytes sent to dst in the counters, the
+// call-path profile and the trace.
+func (p *Proc) countSend(dst int, detail string, nbytes int64) {
 	p.Counters.Add(counters.BytesSent, nbytes)
 	p.Counters.Add(counters.MsgsSent, 1)
 	p.Prof.Add(profile.BytesSent, float64(nbytes))
-	p.emit(obs.KindSend, "", dst, nbytes)
+	p.emit(obs.KindSend, detail, dst, nbytes)
 }
 
 // sendWire enqueues one wire message to dst. The eager (buffered) case is
@@ -520,7 +545,7 @@ func (p *Proc) Recv(src int) []float64 {
 	p.checkCancel()
 	p.commEvent()
 	msg := p.recvWire(src)
-	p.countRecv(src, "", msg)
+	p.countRecv(src, "", int64(len(msg)*bytesPerElem))
 	return msg
 }
 
@@ -549,10 +574,9 @@ func (p *Proc) recvWire(src int) []float64 {
 	}
 }
 
-// countRecv records one received message from src in the counters, the
-// call-path profile and the trace.
-func (p *Proc) countRecv(src int, detail string, msg []float64) {
-	nbytes := int64(len(msg) * bytesPerElem)
+// countRecv records one message of nbytes received from src in the
+// counters, the call-path profile and the trace.
+func (p *Proc) countRecv(src int, detail string, nbytes int64) {
 	p.Counters.Add(counters.BytesRecv, nbytes)
 	p.Counters.Add(counters.MsgsRecv, 1)
 	p.Prof.Add(profile.BytesRecv, float64(nbytes))

@@ -48,13 +48,14 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 
 # Perf trajectory: run the paired fitting benchmarks (optimized vs reference
 # cvScore path), the end-to-end fitting pipeline, the campaign cache round
-# trip, and the simulated runs themselves (the five proxies and a 64-rank
-# allreduce, whose allocs/op track the measurement hot path), and record
-# them as BENCH_<pr>.json via cmd/benchjson. The file is committed with each
-# PR and uploaded as a CI artifact, so performance across the repo's history
-# is comparable without re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
-# measurement stability.
-BENCH_PR=${BENCH_PR:-18}
+# trip, the simulated runs themselves (the five proxies and a 64-rank
+# allreduce, whose allocs/op track the measurement hot path) and the main
+# collectives at 16 and 32 ranks, and record them as BENCH_<pr>.json via
+# cmd/benchjson. The file is committed with each PR and uploaded as a CI
+# artifact, so performance across the repo's history is comparable without
+# re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades
+# gate time for measurement stability.
+BENCH_PR=${BENCH_PR:-19}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {
@@ -64,6 +65,8 @@ echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
         -benchmem -benchtime="${BENCH_TIME}" .
     go test -run=NONE -bench='BenchmarkProxyAppStep|BenchmarkSimMPIAllreduce' \
         -benchmem -benchtime="${BENCH_TIME}" .
+    go test -run=NONE -bench='BenchmarkMeasureCollectives' \
+        -benchmem -benchtime="${BENCH_TIME}" ./internal/simmpi/
     # Campaign benches run at the full BENCH_TIME: the single-iteration runs
     # recorded through BENCH_9 made the warm/cold overlap numbers pure
     # startup noise (one op includes pool spin-up), so the derived ratios

@@ -53,11 +53,7 @@ func BenchmarkCommHotSpots(b *testing.B) {
 }
 
 func BenchmarkExtrapFormat(b *testing.B) {
-	c, err := workload.Run(apps.NewKripke(), benchGrid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := extrap.FromCampaign(c)
+	e, err := extrap.FromCampaign(measure(b, apps.NewKripke(), benchGrid))
 	if err != nil {
 		b.Fatal(err)
 	}

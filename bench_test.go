@@ -72,14 +72,7 @@ func benchmarkTable2App(b *testing.B, name string) {
 	}
 	var cv float64
 	for i := 0; i < b.N; i++ {
-		c, err := workload.Run(app, benchGrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fit, err := workload.Fit(c, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fit := fitModels(b, measure(b, app, benchGrid))
 		cv = fit.Info[metrics.Flops].CVScore
 	}
 	b.ReportMetric(cv, "flopCVSMAPE%")
@@ -96,15 +89,7 @@ func BenchmarkTable2RequirementsModels(b *testing.B) {
 func BenchmarkFig3ErrorHistogram(b *testing.B) {
 	// One fixed campaign + fit outside the loop; the benchmark measures the
 	// classification step and reports the headline quality number.
-	c, err := workload.Run(apps.NewKripke(), benchGrid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fit, err := workload.Fit(c, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	errs := fit.RelErrors()
+	errs := fitModels(b, measure(b, apps.NewKripke(), benchGrid)).RelErrors()
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

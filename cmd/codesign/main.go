@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,12 +46,12 @@ func main() {
 		apps = loaded
 	case *source == "measured":
 		fmt.Fprintln(os.Stderr, "codesign: measuring all five proxy applications (this takes a few seconds)...")
-		fits, _, err := extrareq.MeasureAndModelAll()
+		results, _, err := extrareq.RunAll(context.Background())
 		if err != nil {
 			fatal(err)
 		}
-		for _, f := range fits {
-			apps = append(apps, f.App)
+		for _, r := range results {
+			apps = append(apps, r.Requirements.App)
 		}
 	case *source == "paper":
 		apps = extrareq.PaperApps()

@@ -57,7 +57,7 @@ func main() {
 		}
 		campaigns[i] = c
 	}
-	fits, _, err := workload.FitAllParallel(campaigns, nil, 0, modeling.NewFitCache())
+	fits, _, err := workload.FitAllObserved(campaigns, nil, 0, modeling.NewFitCache(), nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,17 +17,14 @@ func main() {
 	// 1. Measure: run the Kripke proxy over a small p×n grid (the paper's
 	//    rule of thumb: at least five configurations per parameter).
 	fmt.Println("Measuring Kripke over its default 5×5 grid (p up to 64 simulated ranks)...")
-	campaign, err := extrareq.Measure("Kripke")
+	res, err := extrareq.Run(context.Background(), extrareq.Spec{App: "Kripke"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d configurations measured\n\n", len(campaign.Samples))
+	fmt.Printf("  %d configurations measured\n\n", len(res.Campaign.Samples))
 
-	// 2. Model: fit the five Table I requirement metrics.
-	reqs, err := extrareq.Model(campaign)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 2. Model: Run also fitted the five Table I requirement metrics.
+	reqs := res.Requirements
 	fmt.Println("Fitted per-process requirements models r(p, n):")
 	for _, m := range []extrareq.Metric{
 		extrareq.MemoryBytes, extrareq.Flops, extrareq.CommBytes,

@@ -13,9 +13,11 @@
 //
 // # Quickstart
 //
-// Run is the measurement entry point: it measures a proxy application
-// over a p×n grid and fits the Table II requirement models, with faults,
-// retries, observability, and campaign caching as functional options.
+// Run and RunAll are the measurement entry points: Run measures one proxy
+// application over a p×n grid and fits the Table II requirement models,
+// RunAll does the same for all five case-study applications, with faults,
+// retries, observability, campaign caching, and adaptive grids as
+// functional options.
 //
 //	res, err := extrareq.Run(ctx, extrareq.Spec{App: "Kripke"})
 //	fmt.Println(res.Requirements.App.Models[extrareq.Flops]) // e.g. "138·n"
@@ -33,11 +35,9 @@
 package extrareq
 
 import (
-	"context"
 	"fmt"
 
 	"extrareq/internal/apps"
-	"extrareq/internal/campaign"
 	"extrareq/internal/codesign"
 	"extrareq/internal/machine"
 	"extrareq/internal/metrics"
@@ -75,14 +75,6 @@ type (
 	ErrorClass = stats.ErrorClass
 	// ModelOptions configures the Extra-P-style model generator.
 	ModelOptions = modeling.Options
-	// Store is the campaign cache's pluggable persistence seam: load,
-	// write-through, durability barrier — all context-aware. WithStore
-	// installs a custom implementation; WithCache/WithRemoteCache select
-	// the built-in disk, remote, and tiered ones.
-	Store = campaign.Store
-	// CacheKey is the content address of a cached campaign or measurement
-	// point.
-	CacheKey = campaign.Key
 )
 
 // The Table I metrics.
@@ -94,58 +86,9 @@ const (
 	StackDistance = metrics.StackDistance
 )
 
-// Measure runs the named proxy application (Kripke, LULESH, MILC, Relearn,
-// or icoFoam) over its default measurement grid and returns the campaign.
-//
-// Deprecated: use Run with WithoutModels; the campaign is byte-identical.
-func Measure(appName string) (*Campaign, error) {
-	res, err := Run(context.Background(), Spec{App: appName}, WithoutModels())
-	if err != nil {
-		return nil, err
-	}
-	return res.Campaign, nil
-}
-
-// MeasureGrid is Measure with an explicit grid.
-//
-// Deprecated: use Run with a Spec carrying the grid.
-func MeasureGrid(appName string, grid Grid) (*Campaign, error) {
-	res, err := Run(context.Background(), Spec{App: appName, Grid: grid}, WithoutModels())
-	if err != nil {
-		return nil, err
-	}
-	return res.Campaign, nil
-}
-
 // DefaultGrid returns the named app's default measurement grid from the
 // paper's case study (what Run uses when Spec.Grid is zero).
 func DefaultGrid(appName string) Grid { return workload.DefaultGrid(appName) }
-
-// Model fits the five Table II requirement models from a campaign using
-// the default generator options.
-func Model(c *Campaign) (*Requirements, error) { return workload.Fit(c, nil) }
-
-// ModelWith fits with explicit generator options.
-func ModelWith(c *Campaign, opts *ModelOptions) (*Requirements, error) {
-	return workload.Fit(c, opts)
-}
-
-// MeasureAndModelAll runs the full pipeline for all five case-study apps
-// and returns the fitted requirements plus the Figure 3 error classes.
-//
-// Deprecated: use RunAll; the requirements and error classes are
-// byte-identical, and RunAll additionally returns the campaign reports.
-func MeasureAndModelAll() ([]*Requirements, []ErrorClass, error) {
-	results, classes, err := RunAll(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	fits := make([]*Requirements, len(results))
-	for i, r := range results {
-		fits[i] = r.Requirements
-	}
-	return fits, classes, nil
-}
 
 // Fault injection and resilient measurement (§II-C robustness: campaigns
 // on unreliable systems must degrade loudly, never silently).
@@ -176,39 +119,6 @@ func NewFaultPlan(seed int64) *FaultPlan { return simmpi.NewFaultPlan(seed) }
 // "seed=7,kill=0.3,drop=0.01" (see simmpi.ParseFaultSpec for the grammar).
 func ParseFaultSpec(spec string) (*FaultPlan, error) { return simmpi.ParseFaultSpec(spec) }
 
-// MeasureResilient measures the named app over the grid under the fault
-// plan, retrying failed configurations up to retries times and quarantining
-// the ones that keep failing. The report says what was lost and whether the
-// surviving coverage still satisfies minPoints (0 selects the paper's
-// five-point rule) per axis.
-//
-// Deprecated: use Run with WithFaults, WithRetries, WithMinPoints, and
-// WithoutModels; campaign and report are byte-identical.
-func MeasureResilient(appName string, grid Grid, plan *FaultPlan, retries, minPoints int) (*Campaign, *CampaignReport, error) {
-	res, err := Run(context.Background(), Spec{App: appName, Grid: grid},
-		WithFaults(plan), WithRetries(retries), WithMinPoints(minPoints), WithoutModels())
-	if err != nil {
-		var report *CampaignReport
-		if res != nil {
-			report = res.Report
-		}
-		return nil, report, err
-	}
-	return res.Campaign, res.Report, nil
-}
-
-// MeasureAndModelAllResilient is MeasureAndModelAll on an unreliable
-// system: every campaign runs under the fault plan with retries and
-// quarantine, and the per-app campaign reports (in PaperAppNames order)
-// come back alongside the fits so callers can qualify degraded models.
-// Each app derives its own fault seed from the plan, so apps fail
-// independently but deterministically.
-//
-// Deprecated: use RunAll with WithFaults, WithRetries, and WithMinPoints.
-func MeasureAndModelAllResilient(plan *FaultPlan, retries, minPoints int) ([]*Requirements, []ErrorClass, []*CampaignReport, error) {
-	return MeasureAndModelAllResilientObserved(plan, retries, minPoints, nil, nil)
-}
-
 // Observability (§II-C at scale: a campaign must explain itself — what ran,
 // what failed, and where the time went).
 
@@ -234,31 +144,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // eventsPerRank events (<= 0 selects obs.DefaultEventsPerRank). Exact
 // byte/message totals are maintained even after a ring wraps.
 func NewTracer(eventsPerRank int) *Tracer { return obs.NewTracer(eventsPerRank) }
-
-// MeasureAndModelAllResilientObserved is MeasureAndModelAllResilient
-// reporting into the registry (campaign_* and fit_* metrics) and, when tr
-// is non-nil, tracing every simulated run's communication and fault events.
-// Either observer may be nil to disable that half of the instrumentation.
-//
-// Deprecated: use RunAll with WithFaults, WithRetries, WithMinPoints, and
-// WithObservability.
-func MeasureAndModelAllResilientObserved(plan *FaultPlan, retries, minPoints int, reg *MetricsRegistry, tr *Tracer) ([]*Requirements, []ErrorClass, []*CampaignReport, error) {
-	results, classes, err := RunAll(context.Background(),
-		WithFaults(plan), WithRetries(retries), WithMinPoints(minPoints),
-		WithObservability(reg, tr))
-	reports := make([]*CampaignReport, len(results))
-	for i, r := range results {
-		reports[i] = r.Report
-	}
-	if err != nil {
-		return nil, nil, reports, err
-	}
-	fits := make([]*Requirements, len(results))
-	for i, r := range results {
-		fits[i] = r.Requirements
-	}
-	return fits, classes, reports, nil
-}
 
 // WriteTraceFile dumps the tracer to path: a ".json" suffix selects the
 // Chrome trace_event format, anything else the JSONL event stream with
@@ -289,9 +174,8 @@ func appSalt(name string) uint64 {
 	return h
 }
 
-// FitCache deduplicates model fits across campaigns with identical
-// measurement series; share one across Model/ModelWith calls to avoid
-// refitting unchanged data.
+// FitCache deduplicates model fits of identical measurement series (see
+// AdaptiveOptions.FitCache); a cache never changes a result.
 type FitCache = modeling.FitCache
 
 // NewFitCache returns an empty fit cache.

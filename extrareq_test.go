@@ -1,28 +1,20 @@
 package extrareq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"extrareq/internal/workload"
 )
 
-func TestMeasureUnknownApp(t *testing.T) {
-	if _, err := Measure("nope"); err == nil {
-		t.Fatal("expected error for unknown app")
-	}
-}
-
 func TestMeasureAndModelKripke(t *testing.T) {
 	grid := Grid{Procs: []int{2, 4, 8, 16, 32}, Ns: []int{128, 256, 512, 1024, 2048}, Seed: 1}
-	c, err := MeasureGrid("Kripke", grid)
+	res, err := Run(context.Background(), Spec{App: "Kripke", Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := Model(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, reqs := res.Campaign, res.Requirements
 	for _, m := range []Metric{MemoryBytes, Flops, CommBytes, LoadsStores, StackDistance} {
 		if reqs.App.Models[m] == nil {
 			t.Errorf("missing %s model", m)
@@ -156,7 +148,7 @@ func TestMeasurePathsFacade(t *testing.T) {
 }
 
 func TestDefaultGridIsExposedViaMeasure(t *testing.T) {
-	// Measure uses the default grid; just check it is well-formed here
+	// Run uses the default grid; just check it is well-formed here
 	// (full campaigns are exercised in the workload tests and benches).
 	g := workload.DefaultGrid("LULESH")
 	if len(g.Procs) < 5 || len(g.Ns) < 5 {

@@ -279,29 +279,13 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 // canonical grid order, publishes the adaptive campaign entry, and emits
 // the final progress update.
 func (e *engine) finish(ctx context.Context) (*Result, error) {
-	rep := &workload.CampaignReport{
-		App:     e.req.App.Name(),
-		Plan:    e.plan,
-		Configs: e.selected(),
+	pts := e.selectedPoints()
+	samples := make([]workload.Sample, len(pts))
+	outcomes := make([]workload.ConfigOutcome, len(pts))
+	for i, pt := range pts {
+		samples[i], outcomes[i] = e.samples[pt], e.outcomes[pt]
 	}
-	c := &workload.Campaign{App: e.req.App.Name(), Grid: e.req.Grid}
-	survivingP, survivingN := map[int]bool{}, map[int]bool{}
-	for _, pt := range e.selectedPoints() {
-		out := e.outcomes[pt]
-		rep.Outcomes = append(rep.Outcomes, out)
-		if out.Quarantined {
-			rep.Quarantined = append(rep.Quarantined, out)
-			rep.ExtraRuns += out.Attempts - 1
-			continue
-		}
-		if out.Attempts > 1 {
-			rep.Recovered++
-			rep.ExtraRuns += out.Attempts - 1
-		}
-		c.Samples = append(c.Samples, e.samples[pt])
-		survivingP[out.P], survivingN[out.N] = true, true
-	}
-	rep.AxisWarnings = coverageWarnings(survivingP, survivingN, e.minPoints())
+	c, rep := workload.Assemble(e.req.App.Name(), e.req.Grid, e.plan, samples, outcomes, e.req.MinPoints)
 	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("adaptive: %s campaign lost all %d selected configurations",
 			e.req.App.Name(), e.selected())
@@ -331,13 +315,6 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 	e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full,
 		Saved: res.PointsSaved, Done: true})
 	return res, nil
-}
-
-func (e *engine) minPoints() int {
-	if e.req.MinPoints > 0 {
-		return e.req.MinPoints
-	}
-	return workload.FivePointRule
 }
 
 func (e *engine) selected() int { return len(e.outcomes) }
@@ -499,7 +476,11 @@ func (e *engine) fit() (*workload.FitResult, error) {
 	}
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = min(opts.MinPoints, len(e.procs), len(e.ns))
-	return workload.FitParallel(c, opts, 0, e.opts.FitCache)
+	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, opts, 0, e.opts.FitCache, nil)
+	if err != nil {
+		return nil, err
+	}
+	return fits[0], nil
 }
 
 // pick scores the remaining candidates and returns the top k. The score of
@@ -636,20 +617,6 @@ func maxImprovement(prev, cur *workload.FitResult) float64 {
 		return 0
 	}
 	return best
-}
-
-// coverageWarnings mirrors the resilient runner's five-point-rule check
-// over the surviving selected configurations.
-func coverageWarnings(pVals, nVals map[int]bool, required int) []workload.AxisWarning {
-	var out []workload.AxisWarning
-	if len(pVals) < required {
-		out = append(out, workload.AxisWarning{Param: "p", Points: len(pVals), Required: required})
-	}
-	if len(nVals) < required {
-		out = append(out, workload.AxisWarning{Param: "n", Points: len(nVals), Required: required})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Param < out[j].Param })
-	return out
 }
 
 // axisValues returns the sorted distinct values of one grid axis.

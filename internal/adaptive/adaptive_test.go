@@ -240,15 +240,12 @@ func TestAdaptiveMatchesFullGridModels(t *testing.T) {
 				t.Errorf("PointsSaved = %d, want %d", res.PointsSaved, fullN-res.Report.Configs)
 			}
 
-			opts := modeling.DefaultOptions()
-			fitFull, err := workload.FitParallel(full.Campaign, opts, 0, nil)
+			fits, _, err := workload.FitAllObserved([]*workload.Campaign{full.Campaign, res.Campaign},
+				modeling.DefaultOptions(), 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fitAdaptive, err := workload.FitParallel(res.Campaign, opts, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fitFull, fitAdaptive := fits[0], fits[1]
 			for _, m := range metrics.All() {
 				if !modelsAgree(fitAdaptive.Info[m].Model, fitFull.Info[m].Model, grid, 0.10) {
 					t.Errorf("%s: adaptive model %q disagrees with full-grid model %q (%d of %d points)",

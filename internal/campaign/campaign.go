@@ -36,8 +36,8 @@ import (
 	"extrareq/internal/workload"
 )
 
-// ErrClosed is returned by Run and RunBatch on a Scheduler whose Close has
-// been called. Long-running servers hit this during shutdown races; it is
+// ErrClosed is returned by Run on a Scheduler whose Close has been
+// called. Long-running servers hit this during shutdown races; it is
 // a typed sentinel (errors.Is) so they can map it to a clean "draining"
 // response instead of crashing on a closed pool.
 var ErrClosed = errors.New("campaign: scheduler is closed")
@@ -221,8 +221,8 @@ func New(o Options) (*Scheduler, error) {
 }
 
 // Close stops the worker pool and waits for its workers to exit. It is
-// idempotent — extra calls are no-ops — and later Run/RunBatch calls
-// return ErrClosed. Run calls still in flight when Close fires finish the
+// idempotent — extra calls are no-ops — and later Run calls return
+// ErrClosed. Run calls still in flight when Close fires finish the
 // tasks the pool already accepted, then fail their remaining submissions
 // with ErrClosed.
 func (s *Scheduler) Close() { s.pool.close() }
@@ -384,7 +384,7 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
 
 	if data, ok := s.mem.get(key); ok {
-		if c, rep, err := decode(key, data); err == nil {
+		if c, rep, err := Decode(key, data); err == nil {
 			s.hits.Add(1)
 			cm.addHit()
 			reportAllDone(req)
@@ -396,7 +396,7 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	}
 	if s.store != nil {
 		if data, ok := s.store.Load(ctx, key); ok {
-			if c, rep, err := decode(key, data); err == nil {
+			if c, rep, err := Decode(key, data); err == nil {
 				s.mem.put(key, data)
 				s.hits.Add(1)
 				s.bytes.Add(int64(len(data)))
@@ -452,7 +452,7 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	// Nothing measured means the whole grid came from cache — the
 	// campaign key was cold but every point was warm.
 	outcome.CacheHit = outcome.PointsMeasured == 0
-	data, err := encode(key, req.App.Name(), c, rep)
+	data, err := EncodeEntry(key, req.App.Name(), c, rep)
 	if err != nil {
 		// Campaigns are plain data; this cannot happen. Degrade loudly.
 		return outcome, err
@@ -513,25 +513,6 @@ func reportAllDone(req Request) {
 	if req.PointProgress != nil {
 		req.PointProgress(total, 0)
 	}
-}
-
-// RunBatch runs the requests concurrently, all drawing on the scheduler's
-// one pool, and returns per-request outcomes and errors (both indexed like
-// reqs). Unlike errgroup-style helpers it never abandons siblings: every
-// request runs to completion unless ctx is cancelled.
-func (s *Scheduler) RunBatch(ctx context.Context, reqs []Request) ([]*Outcome, []error) {
-	outs := make([]*Outcome, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = s.Run(ctx, reqs[i])
-		}(i)
-	}
-	wg.Wait()
-	return outs, errs
 }
 
 // exec adapts the shared pool to a single campaign's ExecFunc. Submission

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"extrareq/internal/apps"
@@ -267,13 +268,15 @@ func TestCorruptDiskEntryIsMiss(t *testing.T) {
 			if !ok {
 				t.Fatal("entry missing after remeasure")
 			}
-			if _, _, err := decode(key, data); err != nil {
+			if _, _, err := Decode(key, data); err != nil {
 				t.Errorf("rewritten entry does not decode: %v", err)
 			}
 		})
 	}
 }
 
+// TestRunBatchSharedPool runs concurrent campaigns through one scheduler,
+// the way RunAll fans apps out over its shared pool.
 func TestRunBatchSharedPool(t *testing.T) {
 	s, err := New(Options{Workers: 2})
 	if err != nil {
@@ -289,7 +292,21 @@ func TestRunBatchSharedPool(t *testing.T) {
 		}
 		reqs = append(reqs, Request{App: app, Grid: grid})
 	}
-	outs, errs := s.RunBatch(context.Background(), reqs)
+	runBatch := func() ([]*Outcome, []error) {
+		outs := make([]*Outcome, len(reqs))
+		errs := make([]error, len(reqs))
+		var wg sync.WaitGroup
+		for i := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i], errs[i] = s.Run(context.Background(), reqs[i])
+			}()
+		}
+		wg.Wait()
+		return outs, errs
+	}
+	outs, errs := runBatch()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -299,7 +316,7 @@ func TestRunBatchSharedPool(t *testing.T) {
 		}
 	}
 	// Same batch again: every campaign must now be a hit.
-	outs2, errs2 := s.RunBatch(context.Background(), reqs)
+	outs2, errs2 := runBatch()
 	for i := range outs2 {
 		if errs2[i] != nil {
 			t.Fatalf("warm request %d: %v", i, errs2[i])

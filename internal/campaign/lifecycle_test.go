@@ -29,12 +29,6 @@ func TestRunAfterCloseReturnsErrClosed(t *testing.T) {
 	if _, err := s.Run(context.Background(), req); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close: err = %v, want ErrClosed", err)
 	}
-	_, errs := s.RunBatch(context.Background(), []Request{req, req})
-	for i, err := range errs {
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("RunBatch[%d] after Close: err = %v, want ErrClosed", i, err)
-		}
-	}
 }
 
 func TestCloseIdempotent(t *testing.T) {

@@ -88,14 +88,10 @@ type entry struct {
 
 // EncodeEntry marshals a campaign + report into the cache entry
 // representation under key — the exact bytes Decode and ValidateEntry
-// accept. Callers that assemble campaigns outside the Scheduler's own Run
-// path (the adaptive engine) use it to publish results through PutEntry.
+// accept. Scheduler.Run stores its finished campaigns this way, and the
+// adaptive engine, which assembles campaigns outside Run, publishes its
+// results through PutEntry in the same form.
 func EncodeEntry(key Key, app string, c *workload.Campaign, rep *workload.CampaignReport) ([]byte, error) {
-	return encode(key, app, c, rep)
-}
-
-// encode marshals a finished campaign into its cache representation.
-func encode(key Key, app string, c *workload.Campaign, rep *workload.CampaignReport) ([]byte, error) {
 	return json.Marshal(&entry{
 		Version:  KeyVersion,
 		Key:      key.String(),
@@ -153,16 +149,9 @@ func decodePoint(key Key, data []byte) (workload.Sample, workload.ConfigOutcome,
 
 // Decode unmarshals a marshaled cache entry (as returned by
 // Scheduler.Lookup) and validates it against the key that addressed it.
-// It is the exported face of decode for servers answering fetch-by-key
-// requests from stored bytes.
+// Any mismatch (format drift, truncation, a file renamed by hand) is an
+// error; callers treat that as a cache miss, never a failure.
 func Decode(key Key, data []byte) (*workload.Campaign, *workload.CampaignReport, error) {
-	return decode(key, data)
-}
-
-// decode unmarshals a cache entry and validates it against the key that
-// addressed it. Any mismatch (format drift, truncation, a file renamed by
-// hand) is an error; callers treat that as a cache miss, never a failure.
-func decode(key Key, data []byte) (*workload.Campaign, *workload.CampaignReport, error) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, nil, fmt.Errorf("campaign: corrupt cache entry: %w", err)
@@ -200,7 +189,7 @@ func ValidateEntry(k Key, data []byte) (EntryKind, error) {
 	if _, _, err := decodePoint(k, data); err == nil {
 		return PointEntry, nil
 	}
-	if _, _, err := decode(k, data); err == nil {
+	if _, _, err := Decode(k, data); err == nil {
 		return CampaignEntry, nil
 	}
 	// Re-run the point decode for its error message: both decoders agree

@@ -1,6 +1,7 @@
 package extrap
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -150,7 +151,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestCampaignRoundTrip(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
+	r := &workload.ResilientRunner{App: apps.NewKripke()}
+	c, _, err := r.Run(context.Background(), workload.Grid{
 		Procs: []int{2, 4, 8, 16, 32},
 		Ns:    []int{64, 128, 256, 512, 1024},
 		Seed:  3,
@@ -178,10 +180,11 @@ func TestCampaignRoundTrip(t *testing.T) {
 		t.Fatalf("samples %d -> %d", len(c.Samples), len(c2.Samples))
 	}
 	// The round-tripped campaign must fit the same dominant shapes.
-	fit, err := workload.Fit(c2, nil)
+	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c2}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fit := fits[0]
 	fn, ok := fit.App.Models[metrics.MemoryBytes].DominantFactor("n")
 	if !ok || fn.Poly != 1 {
 		t.Errorf("round-tripped footprint model = %s, want ~n", fit.App.Models[metrics.MemoryBytes])

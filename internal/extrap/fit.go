@@ -39,7 +39,7 @@ func FitExperiment(e *Experiment, opts *modeling.Options, workers int, cache *mo
 			out = append(out, SeriesFit{Region: region, Metric: metric})
 		}
 	}
-	for i, o := range modeling.FitAll(tasks, workers, cache) {
+	for i, o := range modeling.FitAllObserved(tasks, workers, cache, nil) {
 		out[i].Info = o.Info
 		out[i].Err = o.Err
 	}

@@ -121,7 +121,7 @@ func randomSeries2(rng *rand.Rand) []Measurement {
 // leave-one-out, pooled QR scratch) must return byte-identical results to
 // the reference path (per-fold fitHypothesis refits) — same winning model,
 // same coefficients, same scores, bit for bit. scripts/check.sh runs this
-// under -race, which also exercises FitAll's worker pool.
+// under -race, which also exercises FitAllObserved's worker pool.
 func TestOptimizedFitMatchesReference(t *testing.T) {
 	refOpts := func(o *Options) *Options {
 		r := *o
@@ -185,8 +185,8 @@ func TestOptimizedFitMatchesReference(t *testing.T) {
 			fastTasks = append(fastTasks, FitTask{Key: key, Params: []string{"p", "n"}, Ms: ms, Opts: opts})
 			refTasks = append(refTasks, FitTask{Key: key, Params: []string{"p", "n"}, Ms: ms, Opts: refOpts(opts)})
 		}
-		fast := FitAll(fastTasks, 4, NewFitCache())
-		ref := FitAll(refTasks, 4, NewFitCache())
+		fast := FitAllObserved(fastTasks, 4, NewFitCache(), nil)
+		ref := FitAllObserved(refTasks, 4, NewFitCache(), nil)
 		for i := range fast {
 			if (fast[i].Err == nil) != (ref[i].Err == nil) {
 				t.Fatalf("task %d: err %v vs %v", i, fast[i].Err, ref[i].Err)

@@ -54,8 +54,8 @@ func checkCoef(coef []float64, allowNegative bool) error {
 }
 
 // searcher is the per-series fitting context. It is not safe for concurrent
-// use; each fit owns one (FitAll parallelizes across series, never within
-// one).
+// use; each fit owns one (FitAllObserved parallelizes across series, never
+// within one).
 type searcher struct {
 	params []string
 	pts    []point

@@ -51,7 +51,7 @@ func TestLineMemoSharesBaselineLines(t *testing.T) {
 		{Key: "b", Params: params, Ms: sharedLineSeries(5), Agg: AggMean},
 	}
 	cache := NewFitCache()
-	outs := FitAll(tasks, 1, cache)
+	outs := FitAllObserved(tasks, 1, cache, nil)
 	if got := cache.lineHits.Load(); got != 2 {
 		t.Errorf("line hits = %d, want 2 (the second fit reuses both baseline lines)", got)
 	}
@@ -137,7 +137,7 @@ func TestLineMemoConcurrentSearchesOnce(t *testing.T) {
 			Ms: sharedLineSeries(float64(i + 1)), Agg: AggMean}
 	}
 	cache := NewFitCache()
-	outs := FitAll(tasks, n, cache)
+	outs := FitAllObserved(tasks, n, cache, nil)
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatal(o.Err)

@@ -5,9 +5,10 @@ package modeling
 // a worker pool. Three guarantees make the pool a drop-in replacement for
 // the serial loop:
 //
-//  1. Determinism: FitAll returns outcomes in task order regardless of the
-//     worker count, and every individual fit is deterministic, so the pool
-//     produces byte-identical models to a serial loop.
+//  1. Determinism: FitAllObserved returns outcomes in task order
+//     regardless of the worker count, and every individual fit is
+//     deterministic, so the pool produces byte-identical models to a
+//     serial loop.
 //  2. Content-keyed caching: a FitCache memoizes fits under a fingerprint
 //     of the task *content* (parameters, measurements, aggregator, and
 //     generator options — never the task's display key), so identical
@@ -119,19 +120,14 @@ func newFitMetrics(r *obs.Registry) *fitMetrics {
 	}
 }
 
-// FitAll fits every task across a pool of workers and returns the outcomes
-// in task order. workers <= 0 selects GOMAXPROCS. A non-nil cache memoizes
-// fits by content: tasks with identical parameters, measurements,
-// aggregator, and options share one fitted model (the returned *ModelInfo
-// is shared and must be treated as read-only).
-func FitAll(tasks []FitTask, workers int, cache *FitCache) []FitOutcome {
-	return FitAllObserved(tasks, workers, cache, nil)
-}
-
-// FitAllObserved is FitAll reporting into a metrics registry: task counts,
-// cache hits, fit errors, and a per-task latency histogram, with pprof
-// goroutine labels on the worker pool so fitting shows up attributably in
-// CPU and goroutine profiles. A nil registry makes it identical to FitAll.
+// FitAllObserved fits every task across a pool of workers and returns the
+// outcomes in task order. workers <= 0 selects GOMAXPROCS. A non-nil cache
+// memoizes fits by content: tasks with identical parameters,
+// measurements, aggregator, and options share one fitted model (the
+// returned *ModelInfo is shared and must be treated as read-only). A
+// non-nil registry receives task counts, cache hits, fit errors, and a
+// per-task latency histogram; the worker pool carries pprof goroutine
+// labels so fitting shows up attributably in CPU and goroutine profiles.
 func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Registry) []FitOutcome {
 	out := make([]FitOutcome, len(tasks))
 	if len(tasks) == 0 {

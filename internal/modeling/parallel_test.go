@@ -53,9 +53,9 @@ func TestFitAllOrderIndependentOfWorkers(t *testing.T) {
 		}
 		return lines
 	}
-	ref := render(FitAll(tasks, 1, nil))
+	ref := render(FitAllObserved(tasks, 1, nil, nil))
 	for _, workers := range []int{2, 3, 4, 8, 0} {
-		got := render(FitAll(tasks, workers, nil))
+		got := render(FitAllObserved(tasks, workers, nil, nil))
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Errorf("workers=%d outcome %d = %q, want %q (serial)", workers, i, got[i], ref[i])
@@ -75,8 +75,8 @@ func TestFitCacheIdenticalMeasurements(t *testing.T) {
 		dup[i] = task
 	}
 	cache := NewFitCache()
-	first := FitAll(base, 4, cache)
-	second := FitAll(dup, 4, cache)
+	first := FitAllObserved(base, 4, cache, nil)
+	second := FitAllObserved(dup, 4, cache, nil)
 	if cache.Len() != len(base) {
 		t.Errorf("cache holds %d entries, want %d", cache.Len(), len(base))
 	}
@@ -249,7 +249,7 @@ func TestFitAllPropagatesErrors(t *testing.T) {
 	}
 	cache := NewFitCache()
 	for pass := 0; pass < 2; pass++ {
-		outs := FitAll(tasks, 2, cache)
+		outs := FitAllObserved(tasks, 2, cache, nil)
 		if outs[0].Err != nil || outs[2].Err != nil {
 			t.Fatalf("pass %d: healthy tasks failed: %v %v", pass, outs[0].Err, outs[2].Err)
 		}
@@ -264,10 +264,10 @@ func TestFitAllPropagatesErrors(t *testing.T) {
 
 // TestFitAllEmpty covers the degenerate inputs.
 func TestFitAllEmpty(t *testing.T) {
-	if out := FitAll(nil, 4, nil); len(out) != 0 {
-		t.Errorf("FitAll(nil) = %v, want empty", out)
+	if out := FitAllObserved(nil, 4, nil, nil); len(out) != 0 {
+		t.Errorf("FitAllObserved(nil) = %v, want empty", out)
 	}
-	if out := FitAll([]FitTask{}, 0, NewFitCache()); len(out) != 0 {
-		t.Errorf("FitAll(empty) = %v, want empty", out)
+	if out := FitAllObserved([]FitTask{}, 0, NewFitCache(), nil); len(out) != 0 {
+		t.Errorf("FitAllObserved(empty) = %v, want empty", out)
 	}
 }

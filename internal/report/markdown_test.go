@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,19 +33,28 @@ func TestMarkdownNoTitle(t *testing.T) {
 	}
 }
 
-func TestModelPlot(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
+// measureKripke measures a healthy Kripke campaign through the
+// ResilientRunner and fits its models through FitAllObserved.
+func measureKripke(t *testing.T, seed int64) (*workload.Campaign, *workload.FitResult) {
+	t.Helper()
+	r := &workload.ResilientRunner{App: apps.NewKripke()}
+	c, _, err := r.Run(context.Background(), workload.Grid{
 		Procs: []int{2, 4, 8, 16, 32},
 		Ns:    []int{64, 128, 256, 512, 1024},
-		Seed:  11,
+		Seed:  seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := workload.Fit(c, nil)
+	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, fits[0]
+}
+
+func TestModelPlot(t *testing.T) {
+	c, fit := measureKripke(t, 11)
 	out := ModelPlot(c, fit.Info[metrics.Flops], metrics.Flops)
 	for _, want := range []string{"#FLOP vs n", "#FLOP vs p", "o measured", ". model"} {
 		if !strings.Contains(out, want) {
@@ -66,18 +76,7 @@ func TestModelPlot(t *testing.T) {
 }
 
 func TestQualityTable(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
-		Procs: []int{2, 4, 8, 16, 32},
-		Ns:    []int{64, 128, 256, 512, 1024},
-		Seed:  4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit, err := workload.Fit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fit := measureKripke(t, 4)
 	out := QualityTable([]*workload.FitResult{fit})
 	for _, want := range []string{"Kripke", "CV SMAPE %", "R²", "#FLOP"} {
 		if !strings.Contains(out, want) {

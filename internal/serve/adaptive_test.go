@@ -213,9 +213,9 @@ func TestAdaptiveJobWatchMonotone(t *testing.T) {
 	}
 }
 
-// StartAdaptive registers the flight under the adaptive key so progress
-// polls resolve it, and a fixed-grid Start of the same spec runs its own
-// flight.
+// Start with adaptive options registers the flight under the adaptive key
+// so progress polls resolve it, and a fixed-grid Start of the same spec
+// runs its own flight.
 func TestStartAdaptiveSeparateFlight(t *testing.T) {
 	sched, err := campaign.New(campaign.Options{Workers: 2, Logf: t.Logf})
 	if err != nil {
@@ -234,11 +234,11 @@ func TestStartAdaptiveSeparateFlight(t *testing.T) {
 		t.Fatal("app Kripke not registered")
 	}
 	req := campaign.Request{App: app, Grid: kripkeGrid()}
-	ka, err := s.StartAdaptive("t", req, adaptive.Options{})
+	ka, err := s.Start("t", req, &adaptive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kf, err := s.Start("t", req)
+	kf, err := s.Start("t", req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,14 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 	// Warm the cache so iterations measure the serving path, not the
 	// simulation.
-	if _, err := s.Do(context.Background(), "bench", req); err != nil {
+	if _, err := s.Do(context.Background(), "bench", req, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := s.Do(context.Background(), "bench", req); err != nil {
+			if _, err := s.Do(context.Background(), "bench", req, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

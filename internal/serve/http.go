@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sub.Wait != nil && !*sub.Wait {
-		key, err := s.start(tenant, req, aopts)
+		key, err := s.Start(tenant, req, aopts)
 		if err != nil {
 			s.writeSubmitError(w, err)
 			return
@@ -164,7 +164,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	res, err := s.do(ctx, tenant, req, aopts)
+	res, err := s.Do(ctx, tenant, req, aopts)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
@@ -260,7 +260,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	fitOpts := modeling.DefaultOptions()
 	fitOpts.MinPoints = min(fitOpts.MinPoints, len(ps), len(ns))
-	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, fitOpts, 0, modeling.NewFitCache(), s.opts.Metrics)
+	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, fitOpts, 0, nil, s.opts.Metrics)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, 0, fmt.Sprintf("fitting models: %v", err))
 		return

@@ -294,22 +294,14 @@ func (s *Server) State() State {
 // byte-identical Result.Body (and the same error, when the execution
 // fails). Cancelling ctx detaches this waiter only — the shared execution
 // keeps running for the others, and is cancelled when the last waiter
-// leaves.
-func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request) (*Result, error) {
-	return s.do(ctx, tenant, req, nil)
-}
-
-// DoAdaptive is Do with model-driven grid refinement (internal/adaptive):
-// the grid is treated as the candidate space and only the most informative
-// configurations are measured. Coalescing keys on the adaptive campaign
-// key (seed spec + resolved options), so identical adaptive submissions
-// share one refinement loop — and never collide with a fixed-grid
-// submission of the same spec, which measures different work.
-func (s *Server) DoAdaptive(ctx context.Context, tenant string, req campaign.Request, opts adaptive.Options) (*Result, error) {
-	return s.do(ctx, tenant, req, &opts)
-}
-
-func (s *Server) do(ctx context.Context, tenant string, req campaign.Request, aopts *adaptive.Options) (*Result, error) {
+// leaves. A non-nil aopts replaces fixed-grid measurement with
+// model-driven grid refinement (internal/adaptive): the grid is treated as
+// the candidate space and only the most informative configurations are
+// measured. Adaptive submissions coalesce on the adaptive campaign key
+// (seed spec + resolved options), so identical adaptive submissions share
+// one refinement loop and never collide with a fixed-grid submission of
+// the same spec, which measures different work.
+func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request, aopts *adaptive.Options) (*Result, error) {
 	start := s.opts.now()
 	s.red.Request()
 	f, isNew, err := s.admit(tenant, req, aopts, false)
@@ -338,21 +330,12 @@ func (s *Server) do(ctx context.Context, tenant string, req campaign.Request, ao
 }
 
 // Start submits a campaign without waiting (fire-and-forget): admission
-// and coalescing behave exactly like Do, but the caller gets the key back
-// immediately and polls Job for progress. The execution is bounded by
-// AsyncTimeout instead of a waiter deadline.
-func (s *Server) Start(tenant string, req campaign.Request) (campaign.Key, error) {
-	return s.start(tenant, req, nil)
-}
-
-// StartAdaptive is Start with model-driven grid refinement; see DoAdaptive
-// for the coalescing-key semantics. Job snapshots of an adaptive flight
-// additionally report points_saved once the flight commits.
-func (s *Server) StartAdaptive(tenant string, req campaign.Request, opts adaptive.Options) (campaign.Key, error) {
-	return s.start(tenant, req, &opts)
-}
-
-func (s *Server) start(tenant string, req campaign.Request, aopts *adaptive.Options) (campaign.Key, error) {
+// and coalescing behave exactly like Do, adaptive options included, but
+// the caller gets the key back immediately and polls Job for progress.
+// The execution is bounded by AsyncTimeout instead of a waiter deadline.
+// Job snapshots of an adaptive flight additionally report points_saved
+// once the flight commits.
+func (s *Server) Start(tenant string, req campaign.Request, aopts *adaptive.Options) (campaign.Key, error) {
 	s.red.Request()
 	f, isNew, err := s.admit(tenant, req, aopts, true)
 	if err != nil {

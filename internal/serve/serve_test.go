@@ -152,7 +152,7 @@ func TestCoalesce50Identical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := s.Do(context.Background(), "tenant-a", req)
+			res, err := s.Do(context.Background(), "tenant-a", req, nil)
 			errs[i] = err
 			if res != nil {
 				bodies[i] = res.Body
@@ -203,7 +203,7 @@ func TestCoalescedErrorPropagation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Do(context.Background(), "t", req)
+			_, errs[i] = s.Do(context.Background(), "t", req, nil)
 		}(i)
 	}
 	waitFor(t, "waiters attached", func() bool { return attachedWaiters(s, key) == waiters })
@@ -231,13 +231,13 @@ func TestWaiterCancelDetachesWithoutKillingExecution(t *testing.T) {
 	var err1 error
 	var wg1 sync.WaitGroup
 	wg1.Add(1)
-	go func() { defer wg1.Done(); _, err1 = s.Do(ctx1, "t", req) }()
+	go func() { defer wg1.Done(); _, err1 = s.Do(ctx1, "t", req, nil) }()
 
 	var res2 *Result
 	var err2 error
 	var wg2 sync.WaitGroup
 	wg2.Add(1)
-	go func() { defer wg2.Done(); res2, err2 = s.Do(context.Background(), "t", req) }()
+	go func() { defer wg2.Done(); res2, err2 = s.Do(context.Background(), "t", req, nil) }()
 
 	waitFor(t, "both waiters attached", func() bool { return attachedWaiters(s, key) == 2 })
 	cancel1()
@@ -270,7 +270,7 @@ func TestLastWaiterCancelKillsExecution(t *testing.T) {
 	var wg sync.WaitGroup
 	var err error
 	wg.Add(1)
-	go func() { defer wg.Done(); _, err = s.Do(ctx, "t", req) }()
+	go func() { defer wg.Done(); _, err = s.Do(ctx, "t", req, nil) }()
 	waitFor(t, "waiter attached", func() bool { return attachedWaiters(s, key) == 1 })
 	cancel()
 	wg.Wait()
@@ -293,13 +293,13 @@ func TestQueueFullSheds(t *testing.T) {
 	stub := &stubRunner{gate: make(chan struct{})}
 	defer close(stub.gate)
 	s, _ := newTestServer(t, Options{Runner: stub, Queue: 2})
-	if _, err := s.Start("t", stubReq(10)); err != nil {
+	if _, err := s.Start("t", stubReq(10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Start("t", stubReq(11)); err != nil {
+	if _, err := s.Start("t", stubReq(11), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Start("t", stubReq(12))
+	_, err := s.Start("t", stubReq(12), nil)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third distinct submission: err = %v, want ErrQueueFull", err)
 	}
@@ -309,7 +309,7 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 	// Coalescing is still free: attaching to an admitted flight works at
 	// full queue.
-	if _, err := s.Start("t", stubReq(10)); err != nil {
+	if _, err := s.Start("t", stubReq(10), nil); err != nil {
 		t.Fatalf("coalesced attach at full queue: %v", err)
 	}
 	if got := s.opts.Metrics.Snapshot().Counters[obs.MetricServerShed]; got != 1 {
@@ -330,11 +330,11 @@ func TestTenantRateLimiting(t *testing.T) {
 	s, _ := newTestServer(t, opts)
 
 	for i := int64(0); i < 2; i++ {
-		if _, err := s.Start("greedy", stubReq(20+i)); err != nil {
+		if _, err := s.Start("greedy", stubReq(20+i), nil); err != nil {
 			t.Fatalf("submission %d within burst: %v", i, err)
 		}
 	}
-	_, err := s.Start("greedy", stubReq(22))
+	_, err := s.Start("greedy", stubReq(22), nil)
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("over-burst submission: err = %v, want ErrRateLimited", err)
 	}
@@ -343,12 +343,12 @@ func TestTenantRateLimiting(t *testing.T) {
 		t.Fatalf("rate-limit shed Retry-After = %v, want (0, 2s]", err)
 	}
 	// A different tenant is unaffected.
-	if _, err := s.Start("modest", stubReq(23)); err != nil {
+	if _, err := s.Start("modest", stubReq(23), nil); err != nil {
 		t.Fatalf("other tenant: %v", err)
 	}
 	// Time refills the bucket.
 	now = now.Add(1500 * time.Millisecond)
-	if _, err := s.Start("greedy", stubReq(24)); err != nil {
+	if _, err := s.Start("greedy", stubReq(24), nil); err != nil {
 		t.Fatalf("after refill: %v", err)
 	}
 }
@@ -365,14 +365,14 @@ func TestDrainFinishesInflightAndRejectsNew(t *testing.T) {
 	var doErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); res, doErr = s.Do(context.Background(), "t", req) }()
+	go func() { defer wg.Done(); res, doErr = s.Do(context.Background(), "t", req, nil) }()
 	waitFor(t, "flight in flight", func() bool { return attachedWaiters(s, key) == 1 })
 
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- s.Drain(context.Background()) }()
 	waitFor(t, "state draining", func() bool { return s.State() == StateDraining })
 
-	if _, err := s.Start("t", stubReq(31)); !errors.Is(err, ErrDraining) {
+	if _, err := s.Start("t", stubReq(31), nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submission while draining: err = %v, want ErrDraining", err)
 	}
 
@@ -408,7 +408,7 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	var doErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); _, doErr = s.Do(context.Background(), "t", req) }()
+	go func() { defer wg.Done(); _, doErr = s.Do(context.Background(), "t", req, nil) }()
 	waitFor(t, "flight in flight", func() bool { return attachedWaiters(s, key) == 1 })
 
 	start := time.Now()
@@ -435,7 +435,7 @@ func TestJobProgress(t *testing.T) {
 	stub := &stubRunner{gate: make(chan struct{}), lookup: map[string][]byte{}}
 	s, _ := newTestServer(t, Options{Runner: stub})
 	req := stubReq(50)
-	key, err := s.Start("t", req)
+	key, err := s.Start("t", req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestDeadlineDetachesWaiter(t *testing.T) {
 	s, _ := newTestServer(t, Options{Runner: stub})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := s.Do(ctx, "t", stubReq(60))
+	_, err := s.Do(ctx, "t", stubReq(60), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -519,11 +519,11 @@ func TestAssembledResponseBytesMatchColdRun(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	gridA := workload.Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 7, Repeats: 2}
-	if _, err := s.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridA}); err != nil {
+	if _, err := s.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridA}, nil); err != nil {
 		t.Fatalf("campaign A: %v", err)
 	}
 	gridB := workload.Grid{Procs: []int{2, 4}, Ns: []int{128, 256}, Seed: 7, Repeats: 2}
-	warm, err := s.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridB})
+	warm, err := s.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridB}, nil)
 	if err != nil {
 		t.Fatalf("campaign B: %v", err)
 	}
@@ -545,7 +545,7 @@ func TestAssembledResponseBytesMatchColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Drain(context.Background())
-	cold, err := s2.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridB})
+	cold, err := s2.Do(context.Background(), "t", campaign.Request{App: app, Grid: gridB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestSoakMixedTrafficWithDrain(t *testing.T) {
 				if rng.Intn(4) == 0 { // every 4th request abandons quickly
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(5)+1)*time.Millisecond)
 				}
-				res, err := s.Do(ctx, "soak", req)
+				res, err := s.Do(ctx, "soak", req, nil)
 				cancel()
 				mu.Lock()
 				switch {

@@ -139,10 +139,16 @@ func (p *Proc) Allreduce(data []float64, op Op) []float64 {
 			op.apply(acc, recv)
 			p.release(recv)
 		}
-		// Recursive doubling among the first p2 ranks.
+		// Recursive doubling among the first p2 ranks. Both partners
+		// combine the lower rank's value first, so they hold the same bits
+		// even where the combine is not commutative: the sum of two NaNs
+		// keeps the first operand's payload.
 		for mask := 1; mask < p2; mask <<= 1 {
 			peer := p.rank ^ mask
 			recv := p.SendRecv(peer, acc, peer)
+			if peer < p.rank {
+				acc, recv = recv, acc
+			}
 			op.apply(acc, recv)
 			p.release(recv)
 		}

@@ -178,9 +178,8 @@ func (p *Proc) meetAllreduce(data []float64, op Op) []float64 {
 // which is the binomial tree over the first p2 ranks. At level mask, each
 // rank v that is a multiple of 2·mask folds in rank v+mask, whose own
 // subtree is complete by then. Every rank of the message path ends with
-// the same bits, because each pairwise combine it does is commutative in
-// IEEE addition and in math.Max/math.Min; so rank 0's value is copied to
-// all.
+// the same bits, because both partners of each butterfly round combine
+// the lower rank's value first; so rank 0's value is copied to all.
 func finishAllreduce(calls []call) {
 	op := calls[0].op
 	p2, extra := pow2Split(len(calls))

@@ -21,14 +21,14 @@ import (
 // no rank, draws "deliver" for every message and perturbs nothing.
 
 // specials are the payload values where IEEE arithmetic is least forgiving.
-// NaN is left out: on the message path itself, ranks of one Allreduce can
-// end with different NaN payload bits (DESIGN §6l).
 var specials = []float64{
 	math.Copysign(0, -1), 0,
 	math.Inf(1), math.Inf(-1),
 	math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64,
 	0x1p-1030, -0x1p-1060, // subnormals
 	math.MaxFloat64, -math.MaxFloat64,
+	// NaNs with distinct payloads: a sum of two keeps one operand's bits.
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
 }
 
 // payload draws n seeded values, about a third of them specials.

@@ -39,7 +39,9 @@ func TestTraceMatchesCountersHealthy(t *testing.T) {
 		rr := p.Irecv(right)
 		rr.Wait()
 		sr.Wait()
-		// Collectives (each built from p2p traffic underneath).
+		// Collectives: Barrier is built from p2p traffic; this fault-free
+		// Allreduce meets at the rendezvous and charges the same per-message
+		// sends and receives (DESIGN §6l).
 		p.Allreduce([]float64{float64(p.Rank())}, Sum)
 		p.Barrier()
 		return nil

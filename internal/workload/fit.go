@@ -87,46 +87,13 @@ func assembleFit(c *Campaign, outs []modeling.FitOutcome) (*FitResult, error) {
 	return res, nil
 }
 
-// Fit generates the five requirement models of Table II from a measured
-// campaign, fanning the per-metric fits across all cores.
-func Fit(c *Campaign, opts *modeling.Options) (*FitResult, error) {
-	return FitParallel(c, opts, 0, nil)
-}
-
-// FitParallel is Fit with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and an optional content-keyed fit cache. The result is
-// deterministic: any worker count produces byte-identical models.
-func FitParallel(c *Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache) (*FitResult, error) {
-	all := metrics.All()
-	tasks := make([]modeling.FitTask, 0, len(all))
-	for _, m := range all {
-		task, err := fitTask(c, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, task)
-	}
-	return assembleFit(c, modeling.FitAll(tasks, workers, cache))
-}
-
-// FitAll fits every campaign and aggregates the Figure 3 error classes,
-// fanning every campaign×metric series across all cores.
-func FitAll(campaigns []*Campaign, opts *modeling.Options) ([]*FitResult, []stats.ErrorClass, error) {
-	return FitAllParallel(campaigns, opts, 0, nil)
-}
-
-// FitAllParallel is FitAll with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and an optional content-keyed fit cache shared across
-// campaigns: campaigns with identical measurement series reuse each
-// other's fits. Result order follows the campaign order regardless of the
-// worker count.
-func FitAllParallel(campaigns []*Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache) ([]*FitResult, []stats.ErrorClass, error) {
-	return FitAllObserved(campaigns, opts, workers, cache, nil)
-}
-
-// FitAllObserved is FitAllParallel reporting fit_* metrics (task counts,
-// cache hits, errors, per-task latency) into the registry; nil disables
-// instrumentation. See modeling.FitAllObserved for the metric names.
+// FitAllObserved generates the five Table II requirement models of every
+// campaign and aggregates the Figure 3 error classes, fanning every
+// campaign×metric series across a pool of workers (<= 0 selects
+// GOMAXPROCS). Results follow the campaign order and are byte-identical
+// for any worker count. A non-nil cache is shared across campaigns, so
+// identical measurement series are fitted once; a non-nil registry
+// receives the fit_* metrics (see modeling.FitAllObserved).
 func FitAllObserved(campaigns []*Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache, reg *obs.Registry) ([]*FitResult, []stats.ErrorClass, error) {
 	all := metrics.All()
 	tasks := make([]modeling.FitTask, 0, len(campaigns)*len(all))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -26,17 +27,20 @@ func renderFitResults(t *testing.T, fits []*FitResult) string {
 
 // TestRunParallelMatchesSerial verifies that concurrent campaign
 // measurement produces the same samples, in the same p-major/n-minor
-// order, as the one-worker loop.
+// order, as one worker does.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	serial, err := RunParallel(apps.NewKripke(), smallGrid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		par, err := RunParallel(apps.NewKripke(), smallGrid, workers)
+	run := func(workers int) *Campaign {
+		t.Helper()
+		r := &ResilientRunner{App: apps.NewKripke(), Workers: workers}
+		c, _, err := r.Run(context.Background(), smallGrid)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return c
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 4, 8, 0} {
+		par := run(workers)
 		a, _ := json.Marshal(serial.Samples)
 		b, _ := json.Marshal(par.Samples)
 		if string(a) != string(b) {
@@ -49,17 +53,17 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 // test: fitting the same campaigns must render byte-identically for every
 // worker count, with and without a shared cache.
 func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
-	c1, err := Run(apps.NewKripke(), smallGrid)
+	c1, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Run(apps.NewLULESH(), smallGrid)
+	c2, err := measure(apps.NewLULESH(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	campaigns := []*Campaign{c1, c2}
 
-	ref, refErrs, err := FitAllParallel(campaigns, nil, 1, nil)
+	ref, refErrs, err := FitAllObserved(campaigns, nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
 			if tc.cached {
 				cache = modeling.NewFitCache()
 			}
-			fits, errs, err := FitAllParallel(campaigns, nil, tc.workers, cache)
+			fits, errs, err := FitAllObserved(campaigns, nil, tc.workers, cache, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,20 +104,22 @@ func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
 // TestFitParallelCacheReuse verifies that a shared cache lets a second
 // campaign with identical samples reuse the first campaign's fits.
 func TestFitParallelCacheReuse(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := modeling.NewFitCache()
-	first, err := FitParallel(c, nil, 4, cache)
-	if err != nil {
-		t.Fatal(err)
+	fit := func() *FitResult {
+		t.Helper()
+		fits, _, err := FitAllObserved([]*Campaign{c}, nil, 4, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fits[0]
 	}
+	first := fit()
 	entries := cache.Len()
-	second, err := FitParallel(c, nil, 4, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := fit()
 	if cache.Len() != entries {
 		t.Errorf("second fit grew the cache from %d to %d entries", entries, cache.Len())
 	}

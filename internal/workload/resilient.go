@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 
 	"extrareq/internal/apps"
 	"extrareq/internal/locality"
-	"extrareq/internal/modeling"
 	"extrareq/internal/obs"
 	"extrareq/internal/simmpi"
 )
@@ -264,8 +262,9 @@ func (r *ResilientRunner) runTimeout() time.Duration {
 }
 
 // measureOnce executes every repeat of one configuration with the
-// attempt's derived fault seeds and aggregates the sample exactly like
-// RunParallel.
+// attempt's derived fault seeds and aggregates the per-run values into
+// one sample (their mean, plus the runs themselves when the grid asks for
+// repeats).
 func (r *ResilientRunner) measureOnce(grid Grid, p, n, attempt int, stackDistance float64, cm *campaignMetrics) (Sample, error) {
 	repeats := grid.Repeats
 	if repeats < 1 {
@@ -490,11 +489,28 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		return nil, nil, err
 	}
 
-	report := &CampaignReport{App: r.App.Name(), Configs: len(configs), Outcomes: outcomes}
+	var plan string
 	if r.Faults.Active() {
-		report.Plan = r.Faults.String()
+		plan = r.Faults.String()
 	}
-	c := &Campaign{App: r.App.Name(), Grid: grid}
+	c, report := Assemble(r.App.Name(), grid, plan, samples, outcomes, r.MinPoints)
+	if len(c.Samples) == 0 {
+		return nil, report, fmt.Errorf("workload: %s campaign lost all %d configurations (retry budget %d); last error: %s",
+			r.App.Name(), len(configs), r.Retries, lastError(outcomes))
+	}
+	return c, report, nil
+}
+
+// Assemble builds a campaign and its report from per-configuration
+// samples and outcomes given in campaign (p-major, n-minor) order.
+// Quarantined configurations are left out of the campaign and listed in
+// the report, and the axis values that survive are checked against
+// minPoints (<= 0 selects FivePointRule). plan is the report's fault plan
+// in ParseFaultSpec grammar ("" for none). A campaign that lost every
+// configuration comes back with no samples; the caller reports that.
+func Assemble(app string, grid Grid, plan string, samples []Sample, outcomes []ConfigOutcome, minPoints int) (*Campaign, *CampaignReport) {
+	report := &CampaignReport{App: app, Plan: plan, Configs: len(outcomes), Outcomes: outcomes}
+	c := &Campaign{App: app, Grid: grid}
 	survivingP, survivingN := map[int]bool{}, map[int]bool{}
 	for i, out := range outcomes {
 		if out.Quarantined {
@@ -509,50 +525,17 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		c.Samples = append(c.Samples, samples[i])
 		survivingP[out.P], survivingN[out.N] = true, true
 	}
-	report.AxisWarnings = coverageWarnings(survivingP, survivingN, r.minPoints())
-	if len(c.Samples) == 0 {
-		return nil, report, fmt.Errorf("workload: %s campaign lost all %d configurations (retry budget %d); last error: %s",
-			r.App.Name(), len(configs), r.Retries, lastError(outcomes))
+	if minPoints <= 0 {
+		minPoints = FivePointRule
 	}
-	return c, report, nil
-}
-
-func (r *ResilientRunner) minPoints() int {
-	if r.MinPoints > 0 {
-		return r.MinPoints
+	// Warnings are ordered by parameter name.
+	if len(survivingN) < minPoints {
+		report.AxisWarnings = append(report.AxisWarnings, AxisWarning{Param: "n", Points: len(survivingN), Required: minPoints})
 	}
-	return FivePointRule
-}
-
-// RunAndFit is Run followed by a graceful-degradation fit: the models are
-// generated from whatever grid points survived, and the report carries the
-// axis warnings that tell the caller how constrained those models really
-// are. The fit error (e.g. a metric with no surviving measurements) is
-// returned alongside the report, never silently.
-func (r *ResilientRunner) RunAndFit(ctx context.Context, grid Grid, opts *modeling.Options) (*Campaign, *FitResult, *CampaignReport, error) {
-	c, report, err := r.Run(ctx, grid)
-	if err != nil {
-		return nil, nil, report, err
+	if len(survivingP) < minPoints {
+		report.AxisWarnings = append(report.AxisWarnings, AxisWarning{Param: "p", Points: len(survivingP), Required: minPoints})
 	}
-	fit, err := Fit(c, opts)
-	if err != nil {
-		return c, nil, report, fmt.Errorf("workload: degraded campaign could not be fitted: %w", err)
-	}
-	return c, fit, report, nil
-}
-
-// coverageWarnings converts surviving axis coverage into five-point-rule
-// warnings against the given threshold.
-func coverageWarnings(pVals, nVals map[int]bool, required int) []AxisWarning {
-	var out []AxisWarning
-	if len(pVals) < required {
-		out = append(out, AxisWarning{Param: "p", Points: len(pVals), Required: required})
-	}
-	if len(nVals) < required {
-		out = append(out, AxisWarning{Param: "n", Points: len(nVals), Required: required})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Param < out[j].Param })
-	return out
+	return c, report
 }
 
 // lastError extracts the most recent failure message from the outcomes,

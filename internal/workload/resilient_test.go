@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -89,6 +90,47 @@ func TestResilientFullRecovery(t *testing.T) {
 		if s.P != want[i][0] || s.N != want[i][1] {
 			t.Errorf("sample %d is (p=%d, n=%d), want (p=%d, n=%d)", i, s.P, s.N, want[i][0], want[i][1])
 		}
+	}
+}
+
+// TestAssemble pins the accounting that fixed-grid and adaptive campaigns
+// share: quarantined configurations leave the campaign but count their
+// failed runs, and the surviving axes are checked against the threshold,
+// n before p, with 0 selecting the five-point rule.
+func TestAssemble(t *testing.T) {
+	grid := Grid{Procs: []int{2, 4}, Ns: []int{32, 64}, Seed: 1}
+	outcomes := []ConfigOutcome{
+		{P: 2, N: 32, Attempts: 1},
+		{P: 2, N: 64, Attempts: 3},
+		{P: 4, N: 32, Attempts: 2, Quarantined: true, Errors: []string{"a", "b"}},
+		{P: 4, N: 64, Attempts: 1},
+	}
+	samples := make([]Sample, len(outcomes))
+	for i, out := range outcomes {
+		if !out.Quarantined {
+			samples[i] = Sample{P: out.P, N: out.N, Values: map[string]float64{"x": float64(i)}}
+		}
+	}
+	c, rep := Assemble("app", grid, "seed=1,kill=0.5", samples, outcomes, 0)
+	if len(c.Samples) != 3 || c.Samples[2].P != 4 || c.Samples[2].N != 64 {
+		t.Errorf("campaign samples = %+v, want the three survivors in campaign order", c.Samples)
+	}
+	if c.App != "app" || c.Grid.Seed != 1 || rep.App != "app" || rep.Plan != "seed=1,kill=0.5" {
+		t.Errorf("campaign %q/%+v, report %q/%q: identity not carried through", c.App, c.Grid, rep.App, rep.Plan)
+	}
+	if rep.Configs != 4 || len(rep.Outcomes) != 4 || rep.Recovered != 1 || rep.ExtraRuns != 3 {
+		t.Errorf("report configs/outcomes/recovered/extra = %d/%d/%d/%d, want 4/4/1/3",
+			rep.Configs, len(rep.Outcomes), rep.Recovered, rep.ExtraRuns)
+	}
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].P != 4 || rep.Quarantined[0].N != 32 {
+		t.Errorf("quarantined = %+v, want (4, 32)", rep.Quarantined)
+	}
+	want := []AxisWarning{{Param: "n", Points: 2, Required: FivePointRule}, {Param: "p", Points: 2, Required: FivePointRule}}
+	if fmt.Sprint(rep.AxisWarnings) != fmt.Sprint(want) {
+		t.Errorf("axis warnings = %v, want %v", rep.AxisWarnings, want)
+	}
+	if _, rep := Assemble("app", grid, "", samples, outcomes, 2); len(rep.AxisWarnings) != 0 {
+		t.Errorf("threshold 2 with two surviving values per axis warned: %v", rep.AxisWarnings)
 	}
 }
 
@@ -218,12 +260,13 @@ func TestRunAndFitDegraded(t *testing.T) {
 	// value survives in at least one configuration; with kill=0.5 and one
 	// retry roughly a quarter of the configurations are quarantined.
 	grid := Grid{Procs: []int{2, 3, 4, 5, 6}, Ns: []int{32, 40, 48, 56, 64}, Seed: 42}
-	c, fit, report, err := r.RunAndFit(context.Background(), grid, nil)
+	c, report, err := r.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit == nil {
-		t.Fatal("no fit from surviving campaign")
+	fit, err := fitModels(c, nil)
+	if err != nil {
+		t.Fatalf("degraded campaign could not be fitted: %v", err)
 	}
 	if len(fit.App.Models) == 0 {
 		t.Error("fit produced no models")
@@ -240,21 +283,20 @@ func TestRunAndFitDegraded(t *testing.T) {
 }
 
 // TestResilientHealthySystemNoOverhead: without a fault plan the runner is
-// RunParallel with insurance — same campaign, clean report.
+// the plain parallel measurement loop with insurance — same campaign,
+// clean report.
 func TestResilientHealthySystemNoOverhead(t *testing.T) {
 	r := &ResilientRunner{App: apps.NewKripke(), Retries: 2, MinPoints: 2, Sleep: noSleep}
 	c, report, err := r.Run(context.Background(), resilientGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunParallel(apps.NewKripke(), resilientGrid, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// SHA-256 of this campaign's JSON as the plain parallel loop, since
+	// removed, produced it.
+	const pin = "f7ffff71defdadebb7373c3ff19ceeb9fd58561ff82c5d8a72aca1ad8f33ba7e"
 	a, _ := json.Marshal(c)
-	b, _ := json.Marshal(ref)
-	if string(a) != string(b) {
-		t.Error("resilient campaign on a healthy system differs from RunParallel")
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != pin {
+		t.Errorf("resilient campaign on a healthy system: SHA-256 %s, want %s (the plain loop's)", got, pin)
 	}
 	if report.Degraded() || report.ExtraRuns != 0 || report.Recovered != 0 {
 		t.Errorf("healthy campaign report is not clean: %+v", report)

@@ -10,13 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"extrareq/internal/apps"
 	"extrareq/internal/counters"
-	"extrareq/internal/locality"
 	"extrareq/internal/metrics"
 	"extrareq/internal/modeling"
 	"extrareq/internal/simmpi"
@@ -147,97 +142,6 @@ type Campaign struct {
 
 // probeCap bounds retained locality samples per instruction group.
 const probeCap = 1 << 14
-
-// Run measures the app over the grid: one simulated MPI run per (p, n)
-// configuration for the counter metrics, plus one single-process locality
-// probe per n (stack distance is measured per process; the paper measured
-// it on a separate system for all apps, §III). The (p, n) configurations
-// are measured concurrently across all cores; the sample order is
-// p-major/n-minor regardless of scheduling.
-func Run(app apps.App, grid Grid) (*Campaign, error) {
-	return RunParallel(app, grid, 0)
-}
-
-// RunParallel is Run with an explicit worker count (<= 0 selects
-// GOMAXPROCS). Proxy applications are stateless per run and every
-// simulated configuration is seeded deterministically, so concurrent
-// measurement yields the same campaign as the serial loop.
-func RunParallel(app apps.App, grid Grid, workers int) (*Campaign, error) {
-	if err := grid.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Campaign{App: app.Name(), Grid: grid}
-
-	// Locality probes, one per problem size.
-	stackByN := map[int]float64{}
-	for _, n := range grid.Ns {
-		an := locality.NewAnalyzer()
-		an.MaxSamplesPerGroup = probeCap
-		app.LocalityProbe(n, an)
-		groups := locality.FilterGroups(an.Groups(), locality.DefaultMinSamples)
-		stackByN[n] = locality.MedianStackDistance(groups)
-	}
-
-	repeats := grid.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	type config struct{ p, n int }
-	var configs []config
-	for _, p := range grid.Procs {
-		for _, n := range grid.Ns {
-			configs = append(configs, config{p, n})
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	samples := make([]Sample, len(configs))
-	errs := make([]error, len(configs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(configs) {
-					return
-				}
-				p, n := configs[i].p, configs[i].n
-				s := Sample{P: p, N: n, Values: map[string]float64{}}
-				for r := 0; r < repeats; r++ {
-					// Runs differ by seed, emulating run-to-run variation.
-					results, err := app.Run(apps.Config{Procs: p, N: n, Seed: grid.Seed + int64(r)*1_000_003})
-					if err != nil {
-						errs[i] = fmt.Errorf("workload: %s at p=%d n=%d: %w", app.Name(), p, n, err)
-						return
-					}
-					vals := extract(results, stackByN[n])
-					if repeats > 1 {
-						s.Runs = append(s.Runs, vals)
-					}
-					for k, v := range vals {
-						s.Values[k] += v / float64(repeats)
-					}
-				}
-				samples[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.Samples = samples
-	return c, nil
-}
 
 // extract converts per-rank results into the Table I per-process metrics
 // (mean over ranks; the matching hardware grows with the process count, so

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -21,8 +22,23 @@ var smallGrid = Grid{
 	Seed:  42,
 }
 
+// measure runs a healthy campaign through the ResilientRunner.
+func measure(app apps.App, g Grid) (*Campaign, error) {
+	c, _, err := (&ResilientRunner{App: app}).Run(context.Background(), g)
+	return c, err
+}
+
+// fitModels fits one campaign's Table II models through FitAllObserved.
+func fitModels(c *Campaign, opts *modeling.Options) (*FitResult, error) {
+	fits, _, err := FitAllObserved([]*Campaign{c}, opts, 0, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return fits[0], nil
+}
+
 func TestRunCampaign(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +62,8 @@ func TestGridValidate(t *testing.T) {
 	if err := (Grid{}).Validate(); err == nil {
 		t.Error("empty grid should fail")
 	}
-	if _, err := Run(apps.NewKripke(), Grid{}); err == nil {
-		t.Error("Run should reject empty grid")
+	if _, err := measure(apps.NewKripke(), Grid{}); err == nil {
+		t.Error("measurement should reject empty grid")
 	}
 	if err := (Grid{Procs: []int{0, 2}, Ns: []int{64}}).Validate(); err == nil {
 		t.Error("non-positive process count should fail")
@@ -102,7 +118,7 @@ func TestDefaultGridsCoverAllApps(t *testing.T) {
 }
 
 func TestMeasurementsConversion(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +134,7 @@ func TestMeasurementsConversion(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	c, err := Run(apps.NewKripke(), Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 1})
+	c, err := measure(apps.NewKripke(), Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +160,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestMessageCountsModelable(t *testing.T) {
 	// Message counts are captured beyond Table I and can be modeled through
 	// the generic pipeline, enabling latency-aware analyses.
-	c, err := Run(apps.NewMILC(), smallGrid)
+	c, err := measure(apps.NewMILC(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +190,7 @@ func modelOptsWithCollectives() *modeling.Options {
 
 func TestRepeatedRuns(t *testing.T) {
 	grid := Grid{Procs: []int{2, 4, 8, 16, 32}, Ns: []int{64, 128, 256, 512, 1024}, Seed: 9, Repeats: 3}
-	c, err := Run(apps.NewKripke(), grid)
+	c, err := measure(apps.NewKripke(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +212,7 @@ func TestRepeatedRuns(t *testing.T) {
 		t.Fatalf("measurement carries %d values, want 3", len(ms[0].Values))
 	}
 	// Repeats must still fit cleanly.
-	if _, err := Fit(c, nil); err != nil {
+	if _, err := fitModels(c, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,11 +220,11 @@ func TestRepeatedRuns(t *testing.T) {
 func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 	// End-to-end: the warnings computed from *fitted* models reproduce the
 	// paper's key flags — Kripke's loads/stores and icoFoam's footprint.
-	kripke, err := Run(apps.NewKripke(), DefaultGrid("Kripke"))
+	kripke, err := measure(apps.NewKripke(), DefaultGrid("Kripke"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kf, err := Fit(kripke, nil)
+	kf, err := fitModels(kripke, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +239,11 @@ func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 		t.Errorf("measured Kripke footprint wrongly flagged: %s", kf.App.Models[metrics.MemoryBytes])
 	}
 
-	ico, err := Run(apps.NewIcoFoam(), DefaultGrid("icoFoam"))
+	ico, err := measure(apps.NewIcoFoam(), DefaultGrid("icoFoam"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ifit, err := Fit(ico, nil)
+	ifit, err := fitModels(ico, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +260,11 @@ func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 }
 
 func TestFitKripkeShapes(t *testing.T) {
-	c, err := Run(apps.NewKripke(), DefaultGrid("Kripke"))
+	c, err := measure(apps.NewKripke(), DefaultGrid("Kripke"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +301,11 @@ func TestFitKripkeShapes(t *testing.T) {
 }
 
 func TestFitLULESHShapes(t *testing.T) {
-	c, err := Run(apps.NewLULESH(), DefaultGrid("LULESH"))
+	c, err := measure(apps.NewLULESH(), DefaultGrid("LULESH"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +340,11 @@ func TestFitLULESHShapes(t *testing.T) {
 }
 
 func TestFitRelearnShapes(t *testing.T) {
-	c, err := Run(apps.NewRelearn(), DefaultGrid("Relearn"))
+	c, err := measure(apps.NewRelearn(), DefaultGrid("Relearn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +377,11 @@ func TestFitRelearnShapes(t *testing.T) {
 }
 
 func TestFitMILCStackDistanceGrows(t *testing.T) {
-	c, err := Run(apps.NewMILC(), DefaultGrid("MILC"))
+	c, err := measure(apps.NewMILC(), DefaultGrid("MILC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +396,11 @@ func TestFitMILCStackDistanceGrows(t *testing.T) {
 }
 
 func TestFitResultRelErrors(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,11 +419,11 @@ func TestFitResultRelErrors(t *testing.T) {
 func TestFitUsesCollectivesForComm(t *testing.T) {
 	// The fit must at least run with collectives enabled and produce a
 	// valid comm model; presence of a Special factor depends on the app.
-	c, err := Run(apps.NewRelearn(), DefaultGrid("Relearn"))
+	c, err := measure(apps.NewRelearn(), DefaultGrid("Relearn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := Fit(c, nil)
+	fit, err := fitModels(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

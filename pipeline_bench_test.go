@@ -6,9 +6,9 @@ package extrareq
 //
 //	go test -bench FitPipeline -benchtime 3x .
 //
-// The comparison is honest because the parallel path produces
-// byte-identical models (see workload.FitAllParallel and its tests), so
-// both variants do exactly the same numerical work.
+// The comparison is honest because workload.FitAllObserved produces
+// byte-identical models for any worker count (see its tests), so both
+// variants do exactly the same numerical work.
 
 import (
 	"runtime"
@@ -26,11 +26,7 @@ func benchCampaigns(b *testing.B) []*workload.Campaign {
 	b.Helper()
 	var out []*workload.Campaign
 	for _, a := range apps.All() {
-		c, err := workload.Run(a, benchGrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, c)
+		out = append(out, measure(b, a, benchGrid))
 	}
 	return out
 }
@@ -42,7 +38,7 @@ func benchmarkFitPipeline(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		// No cache: every iteration re-fits every series, so fits/sec
 		// reflects raw fitting throughput.
-		if _, _, err := workload.FitAllParallel(campaigns, nil, workers, nil); err != nil {
+		if _, _, err := workload.FitAllObserved(campaigns, nil, workers, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,13 +61,13 @@ func BenchmarkFitPipelineParallel(b *testing.B) { benchmarkFitPipeline(b, 0) }
 func BenchmarkFitPipelineCached(b *testing.B) {
 	campaigns := benchCampaigns(b)
 	cache := modeling.NewFitCache()
-	if _, _, err := workload.FitAllParallel(campaigns, nil, 0, cache); err != nil {
+	if _, _, err := workload.FitAllObserved(campaigns, nil, 0, cache, nil); err != nil {
 		b.Fatal(err) // warm the cache outside the timed region
 	}
 	tasks := len(campaigns) * len(metrics.All())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := workload.FitAllParallel(campaigns, nil, 0, cache); err != nil {
+		if _, _, err := workload.FitAllObserved(campaigns, nil, 0, cache, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,12 +11,12 @@ import (
 	"extrareq/internal/workload"
 )
 
-// This file is the package's measurement entry point: one Run function
-// with functional options, replacing the accreted Measure* variants (now
-// deprecated wrappers around Run). All measurement goes through
-// internal/campaign, so every call — resilient or healthy, observed or
-// not — shares one worker pool per invocation and can reuse results from
-// the content-addressed campaign cache (WithCache).
+// This file is the package's measurement entry point: Run for one
+// application and RunAll for the five case-study applications, configured
+// with functional options. All measurement goes through internal/campaign,
+// so every call — resilient or healthy, observed or not — shares one
+// worker pool per invocation and can reuse results from the
+// content-addressed campaign cache (WithCache).
 
 // Spec names what to measure: a proxy application (Kripke, LULESH, MILC,
 // Relearn, or icoFoam) and the p×n grid to run it over. A zero Grid
@@ -80,24 +80,19 @@ type runConfig struct {
 	tracer    *Tracer
 	cacheDir  string
 	remoteURL string
-	store     campaign.Store
 	modelOpts *ModelOptions
 	model     bool
 	adaptive  *AdaptiveOptions
 }
 
 // buildStore resolves the cache options into scheduler Options plus a
-// cleanup to run after the scheduler closes. Precedence: an explicit
-// WithStore wins outright; a remote URL alone selects a RemoteStore; a
-// remote URL with a cache dir layers the DiskStore over the remote as a
-// TieredStore (local reads first, asynchronous write-behind to the
-// remote); a cache dir alone keeps the classic DiskStore path.
+// cleanup to run after the scheduler closes. A remote URL alone selects a
+// RemoteStore; a remote URL with a cache dir layers the DiskStore over the
+// remote as a TieredStore (local reads first, asynchronous write-behind to
+// the remote); a cache dir alone keeps the classic DiskStore path.
 func (c *runConfig) buildStore() (campaign.Options, func(), error) {
 	nop := func() {}
-	switch {
-	case c.store != nil:
-		return campaign.Options{Store: c.store}, nop, nil
-	case c.remoteURL == "":
+	if c.remoteURL == "" {
 		return campaign.Options{Dir: c.cacheDir}, nop, nil
 	}
 	remote, err := campaign.NewRemoteStore(c.remoteURL, campaign.RemoteOptions{Metrics: c.reg})
@@ -182,14 +177,6 @@ func WithRemoteCache(baseURL string) Option {
 	return func(c *runConfig) { c.remoteURL = baseURL }
 }
 
-// WithStore replaces the cache's persistent tier with a custom Store
-// implementation (overriding WithCache and WithRemoteCache). The
-// implementation must satisfy the campaign.Store contract:
-// concurrent-safe, tolerant loads, atomic writes.
-func WithStore(st Store) Option {
-	return func(c *runConfig) { c.store = st }
-}
-
 // WithAdaptiveGrid replaces fixed-grid measurement with model-driven grid
 // refinement (internal/adaptive): the run seeds the grid's baseline lines
 // (which satisfy the five-point rule exactly when the grid does), fits the
@@ -217,11 +204,10 @@ func WithoutModels() Option {
 }
 
 // Run measures one application according to spec and fits its requirement
-// models. It is the single entry point the deprecated Measure* helpers
-// wrap: faults, retries, observability, caching, and modeling are all
-// opt-in. On a campaign error the returned Result still carries the
-// campaign report (when one was produced) so callers can render the
-// partial account.
+// models. Faults, retries, observability, caching, and adaptive grids are
+// opt-in; WithoutModels skips the fit. On a campaign error the returned
+// Result still carries the campaign report (when one was produced) so
+// callers can render the partial account.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	cfg := newRunConfig(opts)
 	app, ok := apps.ByName(spec.App)
@@ -312,10 +298,9 @@ func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, 
 // RunAll measures and models every case-study application (PaperAppNames
 // order) through one shared worker pool and one fit cache, returning the
 // per-app results plus the Figure 3 error classes. A fault plan given via
-// WithFaults is re-seeded per app (derived from the app name), matching
-// the deprecated MeasureAndModelAllResilient behavior, so apps fail
-// independently but deterministically. On error the partial results (with
-// their campaign reports) come back alongside it.
+// WithFaults is re-seeded per app (derived from the app name), so apps
+// fail independently but deterministically. On error the partial results
+// (with their campaign reports) come back alongside it.
 func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error) {
 	cfg := newRunConfig(opts)
 	all := apps.All()
@@ -341,9 +326,10 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 			Tracer:    cfg.tracer,
 		}
 	}
-	// One goroutine per app over the shared scheduler (RunBatch semantics);
-	// adaptive runs are independent per app, so they refine concurrently
-	// while their sub-requests share the pool and point cache.
+	// One goroutine per app over the shared scheduler, whose one pool runs
+	// every app's configurations; adaptive runs are independent per app,
+	// so they refine concurrently while their sub-requests share the pool
+	// and point cache.
 	fc := NewFitCache()
 	results := make([]*Result, len(all))
 	campaigns := make([]*Campaign, len(all))

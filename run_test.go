@@ -3,7 +3,9 @@ package extrareq
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,10 +13,31 @@ import (
 	"extrareq/internal/workload"
 )
 
-// The deprecated facade functions are wrappers over Run/RunAll, so their
-// contract — byte-identical results to the pre-Run pipeline — is checked
-// here against the old implementation paths directly (workload.Run and a
-// bare ResilientRunner).
+// Run and RunAll must give byte-identical results to the pipeline under
+// them, checked here against a bare ResilientRunner and FitAllObserved,
+// and against a SHA-256 pin of a campaign from the parallel measurement
+// loop that ResilientRunner replaced.
+
+// measure runs a healthy campaign through a bare ResilientRunner: no
+// scheduler, no cache.
+func measure(tb testing.TB, app apps.App, grid Grid) *Campaign {
+	tb.Helper()
+	c, _, err := (&ResilientRunner{App: app}).Run(context.Background(), grid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// fitModels fits one campaign's Table II models through FitAllObserved.
+func fitModels(tb testing.TB, c *Campaign) *Requirements {
+	tb.Helper()
+	fits, _, err := workload.FitAllObserved([]*Campaign{c}, nil, 0, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fits[0]
+}
 
 func smallGrid() Grid {
 	return Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 11, Repeats: 2}
@@ -41,9 +64,12 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 		t.Fatal("Kripke not registered")
 	}
 	grid := fitGrid()
-	want, err := workload.Run(app, grid) // the old Measure/MeasureGrid path
-	if err != nil {
-		t.Fatal(err)
+	want := measure(t, app, grid)
+	// SHA-256 of this campaign's JSON as the plain parallel measurement
+	// loop produced it before ResilientRunner became the only loop.
+	const pin = "0cdcb33e4d6805ae02f8ef359917fcac571407e9bc17d45b5f0e74e6554feba9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(asJSON(t, want))); got != pin {
+		t.Errorf("healthy campaign SHA-256 = %s, want %s", got, pin)
 	}
 
 	res, err := Run(context.Background(), Spec{App: "Kripke", Grid: grid})
@@ -51,7 +77,7 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(asJSON(t, want), asJSON(t, res.Campaign)) {
-		t.Error("Run campaign differs from the legacy healthy pipeline")
+		t.Error("Run campaign differs from a bare ResilientRunner")
 	}
 	if res.Report == nil || res.Report.Degraded() {
 		t.Errorf("healthy run report = %+v, want non-nil and undegraded", res.Report)
@@ -59,21 +85,8 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 	if res.Requirements == nil {
 		t.Fatal("Run did not fit models")
 	}
-	wantFit, err := workload.Fit(want, nil) // the old Model path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, wantFit), asJSON(t, res.Requirements)) {
-		t.Error("Run requirements differ from the legacy Model path")
-	}
-
-	// And the deprecated wrapper built on Run agrees with the old path too.
-	got, err := MeasureGrid("Kripke", grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, want), asJSON(t, got)) {
-		t.Error("MeasureGrid differs from the legacy healthy pipeline")
+	if !bytes.Equal(asJSON(t, fitModels(t, want)), asJSON(t, res.Requirements)) {
+		t.Error("Run requirements differ from FitAllObserved on the bare campaign")
 	}
 }
 
@@ -88,7 +101,7 @@ func TestRunMatchesLegacyResilientPipeline(t *testing.T) {
 	}
 	grid := smallGrid()
 	r := &ResilientRunner{App: app, Faults: plan, Retries: 2, MinPoints: 3}
-	wantC, wantRep, err := r.Run(context.Background(), grid) // the old MeasureResilient path
+	wantC, wantRep, err := r.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +119,6 @@ func TestRunMatchesLegacyResilientPipeline(t *testing.T) {
 	}
 	if !bytes.Equal(asJSON(t, wantRep), asJSON(t, res.Report)) {
 		t.Error("Run report differs from the legacy resilient pipeline")
-	}
-
-	gotC, gotRep, err := MeasureResilient("LULESH", grid, plan, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, wantC), asJSON(t, gotC)) ||
-		!bytes.Equal(asJSON(t, wantRep), asJSON(t, gotRep)) {
-		t.Error("MeasureResilient differs from the legacy resilient pipeline")
 	}
 }
 
@@ -135,8 +139,8 @@ func TestRunAllDerivesPerAppPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old MeasureAndModelAllResilient path, inlined: per-app derived plans
-	// over the (substituted) default grids, one shared fit cache.
+	// The pipeline under RunAll, inlined: per-app derived plans over the
+	// (substituted) default grids, one shared fit cache.
 	all := apps.All()
 	campaigns := make([]*Campaign, len(all))
 	reports := make([]*CampaignReport, len(all))
@@ -147,7 +151,7 @@ func TestRunAllDerivesPerAppPlans(t *testing.T) {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 	}
-	wantFits, wantClasses, err := workload.FitAllParallel(campaigns, nil, 0, NewFitCache())
+	wantFits, wantClasses, err := workload.FitAllObserved(campaigns, nil, 0, NewFitCache(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

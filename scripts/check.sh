@@ -32,6 +32,12 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
+# The repository benchmark is its own module (perfbench/go.mod replaces
+# extrareq with this checkout), so ./... above neither builds nor tests it.
+# Vet and test it here, so an API change that breaks it fails the gate.
+echo "== perfbench: go vet + go test =="
+(cd perfbench && go vet . && go test .)
+
 # Adaptive soak: concurrent adaptive + fixed-grid campaigns sharing one
 # point store, under the race detector, pinning that shared points are
 # measured at most once and the adaptive result stays byte-identical. The
@@ -55,7 +61,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # artifact, so performance across the repo's history is comparable without
 # re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades
 # gate time for measurement stability.
-BENCH_PR=${BENCH_PR:-19}
+BENCH_PR=${BENCH_PR:-21}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {

@@ -6,8 +6,15 @@
 // the PR and uploaded as a CI artifact, so performance across the repo's
 // history can be compared without re-running old revisions.
 //
-// Besides the raw per-benchmark numbers, the tool derives speedup ratios for
-// the paired benchmarks the repo uses to pin optimizations:
+// A benchmark repeated with -count appears once in the record: its ns/op,
+// B/op, allocs/op and custom metrics are the medians over the repeats, and
+// ns_per_op_min, ns_per_op_max and runs give the spread and the repeat
+// count. One run of a benchmark on a shared host drifts too far to compare
+// across PRs; a median with its range does not.
+//
+// Besides the per-benchmark numbers, the tool derives speedup ratios (from
+// the medians) for the paired benchmarks the repo uses to pin
+// optimizations:
 //
 //   - <Stem>Optimized vs <Stem>Reference (e.g. the PMNF fitting fast path
 //     against the pre-optimization reference path),
@@ -24,8 +31,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,6 +52,11 @@ type benchmark struct {
 	// Metrics carries the custom units a benchmark emits via
 	// b.ReportMetric (points-measured/op, fits/sec, ...), keyed by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// NsPerOpMin and NsPerOpMax bound ns/op over the Runs result lines
+	// folded into this record; the figures above are their medians.
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
+	Runs       int     `json:"runs,omitempty"`
 }
 
 // derived is a ratio computed from a pair of benchmarks.
@@ -162,6 +176,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	out.Benchmarks = fold(out.Benchmarks)
 	out.Derived = deriveRatios(out.Benchmarks)
 	sort.Slice(out.Benchmarks, func(i, j int) bool {
 		if out.Benchmarks[i].Package != out.Benchmarks[j].Package {
@@ -176,6 +191,68 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: write:", err)
 		os.Exit(1)
 	}
+}
+
+// fold merges the result lines of one benchmark (same package and name,
+// as -count repeats them) into one record of medians, keeping the order in
+// which benchmarks first appear.
+func fold(lines []benchmark) []benchmark {
+	type id struct{ pkg, name string }
+	var order []id
+	runs := map[id][]benchmark{}
+	for _, b := range lines {
+		k := id{b.Package, b.Name}
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	out := make([]benchmark, 0, len(order))
+	for _, k := range order {
+		var iters, ns, bytes, allocs, mbs []float64
+		units := map[string][]float64{}
+		for _, r := range runs[k] {
+			iters = append(iters, float64(r.Iterations))
+			ns = append(ns, r.NsPerOp)
+			bytes = append(bytes, float64(r.BytesPerOp))
+			allocs = append(allocs, float64(r.AllocsPerOp))
+			mbs = append(mbs, r.MBPerS)
+			for unit, v := range r.Metrics {
+				units[unit] = append(units[unit], v)
+			}
+		}
+		b := benchmark{
+			Package:     k.pkg,
+			Name:        k.name,
+			Iterations:  int64(math.Round(median(iters))),
+			NsPerOp:     median(ns),
+			BytesPerOp:  int64(math.Round(median(bytes))),
+			AllocsPerOp: int64(math.Round(median(allocs))),
+			MBPerS:      median(mbs),
+			NsPerOpMin:  slices.Min(ns),
+			NsPerOpMax:  slices.Max(ns),
+			Runs:        len(ns),
+		}
+		for unit, vs := range units {
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[unit] = median(vs)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of the two middle values
+// when len(vs) is even. It sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // deriveRatios pairs benchmarks by the naming conventions in ratioPairs and

@@ -83,3 +83,39 @@ func TestDeriveRatios(t *testing.T) {
 		t.Error("unpaired benchmark must not produce a ratio")
 	}
 }
+
+// Five -count repeats of one benchmark fold into one record of medians
+// with the ns/op range, and ratios derive from the medians.
+func TestFoldRepeats(t *testing.T) {
+	var lines []benchmark
+	for _, ns := range []float64{5e6, 1e6, 3e6, 2e6, 9e6} {
+		lines = append(lines,
+			benchmark{Package: "p", Name: "BenchmarkXWarmCache", Iterations: int64(ns / 1e6), NsPerOp: ns,
+				BytesPerOp: int64(ns / 1e3), AllocsPerOp: 100, Metrics: map[string]float64{"points-reused/op": ns / 1e6}},
+			benchmark{Package: "p", Name: "BenchmarkXColdCache", Iterations: 1, NsPerOp: 4 * ns, AllocsPerOp: 400})
+	}
+	lines = append(lines, benchmark{Package: "q", Name: "BenchmarkXWarmCache", Iterations: 7, NsPerOp: 7})
+	got := fold(lines)
+	want := []benchmark{
+		{Package: "p", Name: "BenchmarkXWarmCache", Iterations: 3, NsPerOp: 3e6, BytesPerOp: 3000, AllocsPerOp: 100,
+			Metrics: map[string]float64{"points-reused/op": 3}, NsPerOpMin: 1e6, NsPerOpMax: 9e6, Runs: 5},
+		{Package: "p", Name: "BenchmarkXColdCache", Iterations: 1, NsPerOp: 12e6, AllocsPerOp: 400,
+			NsPerOpMin: 4e6, NsPerOpMax: 36e6, Runs: 5},
+		{Package: "q", Name: "BenchmarkXWarmCache", Iterations: 7, NsPerOp: 7, NsPerOpMin: 7, NsPerOpMax: 7, Runs: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold =\n%+v\nwant\n%+v", got, want)
+	}
+	speedup := -1.0
+	for _, d := range deriveRatios(got[:2]) {
+		if d.Name == "X_speedup" {
+			speedup = d.Value
+		}
+	}
+	if speedup != 4 {
+		t.Errorf("X_speedup = %v, want 4 from the medians", speedup)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median of an even count = %v, want 2.5", m)
+	}
+}

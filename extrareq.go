@@ -174,13 +174,6 @@ func appSalt(name string) uint64 {
 	return h
 }
 
-// FitCache deduplicates model fits of identical measurement series (see
-// AdaptiveOptions.FitCache); a cache never changes a result.
-type FitCache = modeling.FitCache
-
-// NewFitCache returns an empty fit cache.
-func NewFitCache() *FitCache { return modeling.NewFitCache() }
-
 // PaperApps returns the paper's published Table II models for the five
 // case-study applications.
 func PaperApps() []App { return codesign.PaperApps() }

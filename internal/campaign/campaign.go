@@ -13,7 +13,8 @@
 // (seeds derive from the plan and configuration, never from scheduling), a
 // key hit can be served from cache byte-identically to a fresh run.
 //
-// Caching is two-level: an in-memory LRU of marshaled entries, optionally
+// Caching is two-level: an in-memory LRU of marshaled entries (a campaign
+// entry also keeps its decoded form once a hit has decoded it), optionally
 // backed by a directory of JSON files (one per key, written atomically via
 // temp file + rename, loaded tolerantly — a corrupt or truncated file is a
 // miss, not an error). Cache traffic is observable through the cache_hit,
@@ -22,6 +23,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"log"
 	"runtime"
@@ -111,6 +113,58 @@ type Outcome struct {
 	// grid as reused.
 	PointsReused   int
 	PointsMeasured int
+	// Body is EncodeOutcome of this outcome. Run sets it on campaign-entry
+	// hits, where the memory tier encoded it once for every hit on the
+	// entry, so it is shared: callers must not write to it. Misses leave
+	// it nil.
+	Body []byte
+}
+
+// OutcomeBody is the canonical JSON shape of a finished submission, shared
+// by reqserve's submit and fetch-by-key endpoints. points_reused and
+// points_measured split the campaign into assembly (configurations served
+// from the point cache, including everything behind a whole-campaign
+// cache hit) versus execution (configurations this submission actually
+// measured).
+type OutcomeBody struct {
+	Key            string `json:"key"`
+	App            string `json:"app"`
+	CacheHit       bool   `json:"cache_hit"`
+	PointsReused   int    `json:"points_reused"`
+	PointsMeasured int    `json:"points_measured"`
+	// PointsSaved counts grid configurations the flight never executed at
+	// all: 0 for fixed-grid campaigns (the report covers the whole grid),
+	// positive for adaptive campaigns that stopped early.
+	PointsSaved int                      `json:"points_saved"`
+	Campaign    *workload.Campaign       `json:"campaign"`
+	Report      *workload.CampaignReport `json:"report"`
+}
+
+// EncodeOutcome marshals out as an OutcomeBody. Servers build it once per
+// flight and hand every coalesced waiter the same slice; Run builds it once
+// per memory-tier entry for campaign-entry hits (Outcome.Body).
+func EncodeOutcome(out *Outcome) ([]byte, error) {
+	app := ""
+	if out.Campaign != nil {
+		app = out.Campaign.App
+	}
+	saved := 0
+	if out.Campaign != nil && out.Report != nil {
+		full := len(out.Campaign.Grid.Procs) * len(out.Campaign.Grid.Ns)
+		if n := full - out.Report.Configs; n > 0 {
+			saved = n
+		}
+	}
+	return json.Marshal(&OutcomeBody{
+		Key:            out.Key.String(),
+		App:            app,
+		CacheHit:       out.CacheHit,
+		PointsReused:   out.PointsReused,
+		PointsMeasured: out.PointsMeasured,
+		PointsSaved:    saved,
+		Campaign:       out.Campaign,
+		Report:         out.Report,
+	})
 }
 
 // Options configures a Scheduler.
@@ -383,28 +437,26 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	cm := newCacheMetrics(req.Metrics)
 	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
 
-	if data, ok := s.mem.get(key); ok {
-		if c, rep, err := Decode(key, data); err == nil {
-			s.hits.Add(1)
-			cm.addHit()
-			reportAllDone(req)
-			return &Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true,
-				PointsReused: gridPoints}, nil
+	if data, h, ok := s.mem.getHit(key); ok {
+		if h == nil {
+			// The first memory hit on bytes a miss or PutEntry put decodes
+			// them for every later hit. An undecodable in-memory entry
+			// cannot normally happen (we only store bytes we encoded or
+			// validated); it falls through and is remeasured.
+			if h, _ = decodeHit(key, data, gridPoints); h != nil {
+				h = s.mem.attach(key, data, h)
+			}
 		}
-		// An undecodable in-memory entry cannot normally happen (we only
-		// store bytes we encoded); fall through and remeasure.
+		if h != nil {
+			return s.hit(req, key, h, cm), nil
+		}
 	}
 	if s.store != nil {
 		if data, ok := s.store.Load(ctx, key); ok {
-			if c, rep, err := Decode(key, data); err == nil {
-				s.mem.put(key, data)
-				s.hits.Add(1)
+			if h, err := decodeHit(key, data, gridPoints); err == nil {
 				s.bytes.Add(int64(len(data)))
-				cm.addHit()
 				cm.addBytes(int64(len(data)))
-				reportAllDone(req)
-				return &Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true,
-					PointsReused: gridPoints}, nil
+				return s.hit(req, key, s.mem.putHit(key, data, h), cm), nil
 			}
 			// Corrupt stored entry: treat as a miss; the fresh result
 			// below overwrites it atomically.
@@ -460,6 +512,34 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	s.mem.put(key, data)
 	s.storeWrite(ctx, key, data, cm)
 	return outcome, nil
+}
+
+// decodeHit decodes a campaign entry into the memory tier's form of it:
+// the tier's private campaign and report, and the response body of a hit
+// on them, which reports the whole grid of gridPoints configurations as
+// reused.
+func decodeHit(key Key, data []byte, gridPoints int) (*hitForm, error) {
+	c, rep, err := Decode(key, data)
+	if err != nil {
+		return nil, err
+	}
+	h := &hitForm{campaign: c, report: rep, reused: gridPoints}
+	if h.body, err = EncodeOutcome(h.outcome(key, c, rep)); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// hit counts a campaign-entry hit, reports the whole grid done and reused,
+// and hands the caller fresh clones of the tier's objects together with
+// the shared body.
+func (s *Scheduler) hit(req Request, key Key, h *hitForm, cm cacheMetrics) *Outcome {
+	s.hits.Add(1)
+	cm.addHit()
+	reportAllDone(req)
+	out := h.outcome(key, h.campaign.Clone(), h.report.Clone())
+	out.Body = h.body
+	return out
 }
 
 // loadPoint looks one (p, n) configuration up in the point cache (memory

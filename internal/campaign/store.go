@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -76,8 +77,9 @@ type StatusReporter interface {
 // Cache entry encoding. A single JSON document carries both the campaign
 // and its report, prefixed with the format version and its own key so a
 // load can prove the file is what the name claims. Memory and disk store
-// the same bytes; every cache hit — warm or cold — is decoded from those
-// bytes, so a hit can only ever produce what a fresh run marshals to.
+// the same bytes; every cache hit — warm or cold — serves objects decoded
+// from those bytes (a memory hit clones the tier's one decode of them), so
+// a hit can only ever produce what a fresh run marshals to.
 type entry struct {
 	Version  int                      `json:"version"`
 	Key      string                   `json:"key"`
@@ -329,9 +331,11 @@ func (s *DiskStore) Sync(_ context.Context) error {
 	return nil
 }
 
-// lru is a small mutex-guarded LRU over marshaled cache entries. It stores
-// bytes, not decoded structs, so hits from memory and disk share one code
-// path and identical aliasing behavior (every hit decodes fresh objects).
+// lru is a small mutex-guarded LRU over marshaled cache entries. Every
+// item keeps its bytes, which Lookup, LookupEntry and peers serve. A
+// campaign item also keeps its hitForm once a hit has decoded it, so later
+// hits skip JSON in both directions; they still get fresh objects, cloned
+// from the form, never the form's own.
 type lru struct {
 	mu    sync.Mutex
 	cap   int
@@ -342,6 +346,23 @@ type lru struct {
 type lruItem struct {
 	key  Key
 	data []byte
+	hit  *hitForm // nil for point entries and until a hit decodes data
+}
+
+// hitForm is a campaign entry decoded once for the memory tier: the tier's
+// private campaign and report, which are only ever cloned, and the shared
+// body of a hit on them (EncodeOutcome with CacheHit set and the whole
+// grid of reused configurations).
+type hitForm struct {
+	campaign *workload.Campaign
+	report   *workload.CampaignReport
+	reused   int
+	body     []byte
+}
+
+// outcome is a hit's Outcome over c and rep, without the body.
+func (h *hitForm) outcome(key Key, c *workload.Campaign, rep *workload.CampaignReport) *Outcome {
+	return &Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true, PointsReused: h.reused}
 }
 
 func newLRU(capacity int) *lru {
@@ -353,30 +374,70 @@ func newLRU(capacity int) *lru {
 }
 
 func (c *lru) get(k Key) ([]byte, bool) {
+	data, _, ok := c.getHit(k)
+	return data, ok
+}
+
+// getHit returns k's bytes and, once decoded, their hitForm.
+func (c *lru) getHit(k Key) ([]byte, *hitForm, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruItem).data, true
+	it := el.Value.(*lruItem)
+	return it.data, it.hit, true
 }
 
-func (c *lru) put(k Key, data []byte) {
+// put stores data under k. Re-putting the bytes an item already holds
+// keeps its decoded form; different bytes drop it.
+func (c *lru) put(k Key, data []byte) { c.putHit(k, data, nil) }
+
+// putHit stores data under k with h as its decoded form and returns the
+// form the item now holds: an item that already holds these bytes keeps
+// the form it has, if any.
+func (c *lru) putHit(k Key, data []byte, h *hitForm) *hitForm {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		el.Value.(*lruItem).data = data
+		it := el.Value.(*lruItem)
+		if it.hit == nil || !bytes.Equal(it.data, data) {
+			it.hit = h
+		}
+		it.data = data
 		c.order.MoveToFront(el)
-		return
+		return it.hit
 	}
-	c.items[k] = c.order.PushFront(&lruItem{key: k, data: data})
+	c.items[k] = c.order.PushFront(&lruItem{key: k, data: data, hit: h})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruItem).key)
 	}
+	return h
+}
+
+// attach gives k's item h as the decoded form of data, unless the item
+// has been evicted or now holds other bytes, and returns the form to serve:
+// the item's own when a concurrent first hit attached one first, so every
+// hit on one item shares one body.
+func (c *lru) attach(k Key, data []byte, h *hitForm) *hitForm {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[k]
+	if !ok {
+		return h
+	}
+	it := el.Value.(*lruItem)
+	if !bytes.Equal(it.data, data) {
+		return h
+	}
+	if it.hit == nil {
+		it.hit = h
+	}
+	return it.hit
 }
 
 func (c *lru) len() int {

@@ -40,8 +40,8 @@ import (
 // the entry's key IS its ETag, and If-None-Match gets a body-free 304.
 // Successful POST /v1/campaigns responses carry points_reused /
 // points_measured so clients can see how much of the campaign was
-// assembled from the cache versus executed (see outcomeBody); the same
-// split appears live in /v1/jobs snapshots.
+// assembled from the cache versus executed (see campaign.OutcomeBody);
+// the same split appears live in /v1/jobs snapshots.
 //
 // Tenancy is declared per request with the X-Tenant header (default
 // "default"); admission control buckets by that name.
@@ -227,7 +227,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := encodeOutcome(&campaign.Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true})
+	// A campaign-entry hit reports every configuration the entry holds as
+	// reused: the grid of a fixed-grid campaign, the selection of an
+	// adaptive one.
+	body, err := campaign.EncodeOutcome(&campaign.Outcome{Campaign: c, Report: rep, Key: key,
+		CacheHit: true, PointsReused: rep.Configs})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, 0, err.Error())
 		return

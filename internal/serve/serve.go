@@ -38,7 +38,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -50,7 +49,6 @@ import (
 	"extrareq/internal/adaptive"
 	"extrareq/internal/campaign"
 	"extrareq/internal/obs"
-	"extrareq/internal/workload"
 )
 
 // Runner is the slice of campaign.Scheduler the server needs. Tests
@@ -167,8 +165,10 @@ type Options struct {
 type Result struct {
 	// Outcome is the shared execution's outcome.
 	Outcome *campaign.Outcome
-	// Body is the canonical JSON response built once per flight; every
-	// waiter of one flight receives these exact bytes.
+	// Body is the canonical JSON response (campaign.EncodeOutcome), built
+	// once per flight, or taken from the scheduler's memory tier on a
+	// campaign-entry hit; every waiter of one flight receives these exact
+	// bytes. It may be shared beyond the flight: do not write to it.
 	Body []byte
 	// Coalesced reports that this submission attached to an execution
 	// started by an earlier identical submission.
@@ -473,11 +473,14 @@ func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, a
 	}
 	f.out, f.err = out, err
 	if err == nil {
-		if body, berr := encodeOutcome(out); berr == nil {
-			f.body = body
-		} else {
-			// Outcomes are plain data; this cannot normally happen.
-			f.err = berr
+		// Campaign-entry hits arrive with their body; misses and adaptive
+		// flights are encoded here, once per flight.
+		f.body = out.Body
+		if f.body == nil {
+			if f.body, err = campaign.EncodeOutcome(out); err != nil {
+				// Outcomes are plain data; this cannot normally happen.
+				f.err = err
+			}
 		}
 	}
 	s.mu.Lock()
@@ -652,49 +655,4 @@ func (b *bucket) take(now time.Time, rate, burst float64) time.Duration {
 	}
 	wait := (1 - b.tokens) / rate
 	return time.Duration(wait * float64(time.Second))
-}
-
-// outcomeBody is the canonical JSON shape of a finished submission, shared
-// by the submit and fetch-by-key endpoints. points_reused/points_measured
-// split the campaign into assembly (configurations served from the point
-// cache, including everything behind a whole-campaign cache hit) versus
-// execution (configurations this submission actually measured).
-type outcomeBody struct {
-	Key            string `json:"key"`
-	App            string `json:"app"`
-	CacheHit       bool   `json:"cache_hit"`
-	PointsReused   int    `json:"points_reused"`
-	PointsMeasured int    `json:"points_measured"`
-	// PointsSaved counts grid configurations the flight never executed at
-	// all: 0 for fixed-grid campaigns (the report covers the whole grid),
-	// positive for adaptive campaigns that stopped early.
-	PointsSaved int                      `json:"points_saved"`
-	Campaign    *workload.Campaign       `json:"campaign"`
-	Report      *workload.CampaignReport `json:"report"`
-}
-
-// encodeOutcome builds the response bytes exactly once per flight; every
-// coalesced waiter is handed this same slice.
-func encodeOutcome(out *campaign.Outcome) ([]byte, error) {
-	app := ""
-	if out.Campaign != nil {
-		app = out.Campaign.App
-	}
-	saved := 0
-	if out.Campaign != nil && out.Report != nil {
-		full := len(out.Campaign.Grid.Procs) * len(out.Campaign.Grid.Ns)
-		if n := full - out.Report.Configs; n > 0 {
-			saved = n
-		}
-	}
-	return json.Marshal(&outcomeBody{
-		Key:            out.Key.String(),
-		App:            app,
-		CacheHit:       out.CacheHit,
-		PointsReused:   out.PointsReused,
-		PointsMeasured: out.PointsMeasured,
-		PointsSaved:    saved,
-		Campaign:       out.Campaign,
-		Report:         out.Report,
-	})
 }

@@ -552,7 +552,7 @@ func TestAssembledResponseBytesMatchColdRun(t *testing.T) {
 	// The bodies differ only in the points_reused/points_measured
 	// provenance split (assembled: 2/2, cold: 0/4); everything the
 	// client consumes — key, campaign, report — must be byte-identical.
-	var warmBody, coldBody outcomeBody
+	var warmBody, coldBody campaign.OutcomeBody
 	if err := json.Unmarshal(warm.Body, &warmBody); err != nil {
 		t.Fatal(err)
 	}

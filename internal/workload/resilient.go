@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,6 +159,27 @@ type CampaignReport struct {
 // coverage, i.e. whether a fit from it is weaker than the grid promised.
 func (r *CampaignReport) Degraded() bool {
 	return len(r.Quarantined) > 0 || len(r.AxisWarnings) > 0
+}
+
+// Clone returns a deep copy of r that shares no slice with it, keeping
+// nil and empty slices apart like Campaign.Clone.
+func (r *CampaignReport) Clone() *CampaignReport {
+	if r == nil {
+		return nil
+	}
+	cp := *r
+	cp.Quarantined = cloneOutcomes(r.Quarantined)
+	cp.Outcomes = cloneOutcomes(r.Outcomes)
+	cp.AxisWarnings = slices.Clone(r.AxisWarnings)
+	return &cp
+}
+
+func cloneOutcomes(outs []ConfigOutcome) []ConfigOutcome {
+	outs = slices.Clone(outs)
+	for i := range outs {
+		outs[i].Errors = slices.Clone(outs[i].Errors)
+	}
+	return outs
 }
 
 // Render formats the report for humans (deterministic output).

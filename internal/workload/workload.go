@@ -9,7 +9,9 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"extrareq/internal/counters"
 	"extrareq/internal/metrics"
@@ -138,6 +140,28 @@ type Campaign struct {
 	App     string   `json:"app"`
 	Grid    Grid     `json:"grid"`
 	Samples []Sample `json:"samples"`
+}
+
+// Clone returns a deep copy of c that shares no map or slice with it.
+// Nil and empty slices and maps stay apart, because JSON encodes one as
+// null and the other as [] or {}.
+func (c *Campaign) Clone() *Campaign {
+	if c == nil {
+		return nil
+	}
+	cp := *c
+	cp.Grid.Procs = slices.Clone(c.Grid.Procs)
+	cp.Grid.Ns = slices.Clone(c.Grid.Ns)
+	cp.Samples = slices.Clone(c.Samples)
+	for i := range cp.Samples {
+		s := &cp.Samples[i]
+		s.Values = maps.Clone(s.Values)
+		s.Runs = slices.Clone(s.Runs)
+		for j := range s.Runs {
+			s.Runs[j] = maps.Clone(s.Runs[j])
+		}
+	}
+	return &cp
 }
 
 // probeCap bounds retained locality samples per instruction group.

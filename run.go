@@ -8,6 +8,7 @@ import (
 	"extrareq/internal/adaptive"
 	"extrareq/internal/apps"
 	"extrareq/internal/campaign"
+	"extrareq/internal/modeling"
 	"extrareq/internal/workload"
 )
 
@@ -65,8 +66,9 @@ type AdaptiveSummary struct {
 
 // AdaptiveOptions tune WithAdaptiveGrid's refinement loop; the zero value
 // selects the documented defaults (batch ≈ grid/8, budget = half the grid,
-// 2% improvement threshold, one stable round). Run and RunAll replace
-// FitCache with the cache of their own final fit.
+// 2% improvement threshold, one stable round). Run and RunAll set the
+// FitCache field themselves, to the cache of their own final fit, so a
+// value a caller puts there is ignored.
 type AdaptiveOptions = adaptive.Options
 
 // Option configures Run and RunAll.
@@ -228,7 +230,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	defer sched.Close()
-	fc := NewFitCache()
+	fc := modeling.NewFitCache()
 	res, err := runRequest(ctx, sched, &cfg, fc, campaign.Request{
 		App:       app,
 		Grid:      grid,
@@ -258,7 +260,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 // interim models through fc, so the caller's final fit over fc finds the
 // last round's fits. On error the Result still carries whatever report was
 // produced.
-func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, fc *FitCache, req campaign.Request) (*Result, error) {
+func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, fc *modeling.FitCache, req campaign.Request) (*Result, error) {
 	if cfg.adaptive != nil {
 		o := *cfg.adaptive
 		o.FitCache = fc
@@ -330,7 +332,7 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 	// every app's configurations; adaptive runs are independent per app,
 	// so they refine concurrently while their sub-requests share the pool
 	// and point cache.
-	fc := NewFitCache()
+	fc := modeling.NewFitCache()
 	results := make([]*Result, len(all))
 	campaigns := make([]*Campaign, len(all))
 	errs := make([]error, len(all))

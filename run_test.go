@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"extrareq/internal/apps"
+	"extrareq/internal/modeling"
 	"extrareq/internal/workload"
 )
 
@@ -151,7 +152,7 @@ func TestRunAllDerivesPerAppPlans(t *testing.T) {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 	}
-	wantFits, wantClasses, err := workload.FitAllObserved(campaigns, nil, 0, NewFitCache(), nil)
+	wantFits, wantClasses, err := workload.FitAllObserved(campaigns, nil, 0, modeling.NewFitCache(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

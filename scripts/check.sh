@@ -60,38 +60,40 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # cmd/benchjson. The file is committed with each PR and uploaded as a CI
 # artifact, so performance across the repo's history is comparable without
 # re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades
-# gate time for measurement stability.
-BENCH_PR=${BENCH_PR:-21}
+# gate time for measurement stability. Every benchmark runs five times
+# (-count=5) and cmd/benchjson records the median with its min/max: a
+# single run drifted with the host by as much as 43% between records.
+BENCH_PR=${BENCH_PR:-22}
 BENCH_TIME=${BENCH_TIME:-0.3s}
-echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
+echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count 5) =="
 {
     go test -run=NONE -bench='BenchmarkFit(Single|Multi)(Optimized|Reference)' \
-        -benchmem -benchtime="${BENCH_TIME}" ./internal/modeling/
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/modeling/
     go test -run=NONE -bench='BenchmarkFitPipeline' \
-        -benchmem -benchtime="${BENCH_TIME}" .
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" .
     go test -run=NONE -bench='BenchmarkProxyAppStep|BenchmarkSimMPIAllreduce' \
-        -benchmem -benchtime="${BENCH_TIME}" .
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" .
     go test -run=NONE -bench='BenchmarkMeasureCollectives' \
-        -benchmem -benchtime="${BENCH_TIME}" ./internal/simmpi/
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/simmpi/
     # Campaign benches run at the full BENCH_TIME: the single-iteration runs
     # recorded through BENCH_9 made the warm/cold overlap numbers pure
     # startup noise (one op includes pool spin-up), so the derived ratios
     # jumped between runs. The points-reused/op metric they now report is
     # deterministic either way.
     go test -run=NONE -bench='BenchmarkMeasureCampaign|BenchmarkOverlap|BenchmarkRemote(Warm|Cold)' \
-        -benchmem -benchtime="${BENCH_TIME}" ./internal/campaign/
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/campaign/
     go test -run=NONE -bench='BenchmarkServeThroughput' \
-        -benchmem -benchtime="${BENCH_TIME}" ./internal/serve/
+        -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/serve/
     # One iteration suffices here: points-measured/op is deterministic, and
     # that metric (not ns/op) carries the AdaptiveVsFullGrid_point_reduction
     # headline the PR gate asserts on below.
     go test -run=NONE -bench='BenchmarkAdaptiveVsFullGrid' \
-        -benchmem -benchtime=1x .
+        -count=5 -benchmem -benchtime=1x .
     # The adaptive path with model fitting, which the pair above skips. An
     # op takes about a quarter of a second, so BENCH_TIME would stop after
     # one or two iterations; a fixed count of five steadies the mean.
     go test -run=NONE -bench='BenchmarkAdaptiveRun$' \
-        -benchmem -benchtime=5x .
+        -count=5 -benchmem -benchtime=5x .
 } | go run ./cmd/benchjson -pr "${BENCH_PR}" > "BENCH_${BENCH_PR}.json"
 echo "wrote BENCH_${BENCH_PR}.json"
 

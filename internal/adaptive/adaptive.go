@@ -9,31 +9,32 @@
 // reached.
 //
 // The engine composes with the existing machinery instead of replacing it:
-// every selected configuration is measured as a 1×1-grid sub-request
-// through a campaign scheduler, so the shared worker pool, fault
-// injection, retries/quarantine, observability, and the point cache all
-// apply unchanged. Because ComputePointKey excludes the grid axes, the
-// points an adaptive run measures are the same cache entries a fixed-grid
-// campaign of the same spec would write — a fleet mixing adaptive and
-// fixed-grid campaigns over one store converges together, measuring each
-// point at most once.
+// each round — the seed lines, then each batch — is one point-set request
+// (campaign.Request.Points) through a campaign scheduler, the same path a
+// fixed-grid campaign takes, so the shared worker pool, fault injection,
+// retries/quarantine, locality probes, observability, and the point cache
+// all apply unchanged. A point-set request writes no campaign entry: the
+// point entries are the record. Because ComputePointKey excludes the grid
+// axes, they are the same cache entries a fixed-grid campaign of the same
+// spec would write — a fleet mixing adaptive and fixed-grid campaigns over
+// one store converges together, measuring each point at most once.
 //
 // Determinism: the seed, the scores, the tie-breaks, and the stopping rule
 // are all pure functions of the request and the (deterministic) measured
-// bytes, and batch results are folded in canonical grid order regardless
-// of scheduling. Two adaptive runs of the same request and options are
-// byte-identical, across repeats and worker counts — which is what makes
-// the campaign-level cache entry (keyed by the seed spec + adaptive
-// options) sound.
+// bytes, each round's points are requested in canonical grid order, and
+// its results are filed by configuration. Two adaptive runs of the same
+// request and options are byte-identical, across repeats and worker
+// counts — which is what makes the campaign-level cache entry (keyed by
+// the seed spec + adaptive options) sound.
 package adaptive
 
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"extrareq/internal/campaign"
 	"extrareq/internal/metrics"
@@ -61,10 +62,6 @@ type Options struct {
 	// StableRounds is the number of consecutive stable refits required to
 	// converge; <= 0 selects 1.
 	StableRounds int
-	// Progress, when non-nil, receives refinement updates (for job
-	// snapshots). Like the observability handles it does not participate
-	// in the cache key.
-	Progress func(Update) `json:"-"`
 	// FitCache, when non-nil, memoizes the interim fits; a caller that
 	// passes the cache it then fits the finished campaign with gets the
 	// last round's fits back as hits. Nil gives each run a cache of its
@@ -72,22 +69,6 @@ type Options struct {
 	// are pure functions of their content, so the cache never changes a
 	// result and does not participate in the cache key.
 	FitCache *modeling.FitCache `json:"-"`
-}
-
-// Update is one refinement progress snapshot. Saved stays 0 until the run
-// finishes (the engine cannot know what it will skip before it stops), so
-// the value is monotone over a run's updates.
-type Update struct {
-	// Round counts fits over the measured set (the seed fit is round 1).
-	Round int
-	// Selected is the number of configurations chosen so far.
-	Selected int
-	// FullGrid is the size of the requested grid.
-	FullGrid int
-	// Saved is FullGrid minus the final selection; 0 while running.
-	Saved int
-	// Done marks the final update of a run.
-	Done bool
 }
 
 // defaults resolves the documented default for every unset numeric field,
@@ -110,33 +91,28 @@ func (o Options) defaults(fullGrid int) Options {
 	return o
 }
 
-// Runner is the scheduler surface the engine needs: measurement with the
-// full point-cache machinery, plus lookup/publish of campaign-level
-// entries for the adaptive key. *campaign.Scheduler implements it, and so
-// does the serve layer's Runner.
+// Runner is the scheduler surface the engine needs: point-set measurement
+// with the full point-cache machinery, plus lookup/publish of the
+// campaign-level entry for the adaptive key. *campaign.Scheduler
+// implements it, and so does the serve layer's Runner.
 type Runner interface {
 	Run(ctx context.Context, req campaign.Request) (*campaign.Outcome, error)
 	Lookup(ctx context.Context, key campaign.Key) ([]byte, bool)
 	PutEntry(ctx context.Context, key campaign.Key, data []byte) error
 }
 
-// Result is a finished adaptive campaign. Campaign.Grid holds the full
-// requested grid (the spec), while Campaign.Samples holds only the
-// selected configurations' samples; Report.Configs counts the selection.
+// Result is a finished adaptive campaign: the outcome of the selection and
+// how the refinement went. Campaign.Grid holds the full requested grid
+// (the spec), while Campaign.Samples holds only the selected
+// configurations' samples; Report.Configs counts the selection. Key is the
+// adaptive campaign key (the fixed-grid key of the seed spec salted with
+// the resolved adaptive options), PointsReused and PointsMeasured split
+// the selection by assembly path, and CacheHit reports that nothing was
+// measured. Body stays nil.
 type Result struct {
-	Campaign *workload.Campaign
-	Report   *workload.CampaignReport
-	// Key is the adaptive campaign key: the fixed-grid key of the seed
-	// spec salted with the resolved adaptive options.
-	Key campaign.Key
-	// CacheHit reports the run was served from its own campaign entry.
-	CacheHit bool
-	// PointsReused / PointsMeasured split the selected configurations by
-	// assembly path (point-cache hit vs. executed); PointsSaved counts
-	// full-grid configurations never selected at all.
-	PointsReused   int
-	PointsMeasured int
-	PointsSaved    int
+	campaign.Outcome
+	// PointsSaved counts full-grid configurations never selected at all.
+	PointsSaved int
 	// FullGridPoints is the size of the requested grid.
 	FullGridPoints int
 	// Rounds counts fits over the measured set (0 for a cache hit).
@@ -203,12 +179,10 @@ type engine struct {
 	procs, ns []int // sorted distinct axis values
 	full      int
 
-	mu       sync.Mutex // guards the fields below during batch measurement
 	samples  map[[2]int]workload.Sample
 	outcomes map[[2]int]workload.ConfigOutcome
 	reused   int
 	measured int
-	done     int // selected configurations finished, for Progress
 	plan     string
 
 	rounds    int
@@ -222,13 +196,16 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		if c, rep, err := campaign.Decode(e.key, data); err == nil {
 			e.ad.CacheHit()
 			sel := rep.Configs
-			e.reportProgress(sel, sel, 0)
-			e.update(Update{Round: 0, Selected: sel, FullGrid: e.full,
-				Saved: e.full - sel, Done: true})
+			if e.req.Progress != nil {
+				e.req.Progress(sel, e.full)
+			}
+			if e.req.PointProgress != nil {
+				e.req.PointProgress(sel, 0)
+			}
 			return &Result{
-				Campaign: c, Report: rep, Key: e.key, CacheHit: true,
-				PointsReused: sel, PointsSaved: e.full - sel,
-				FullGridPoints: e.full, Converged: true,
+				Outcome: campaign.Outcome{Campaign: c, Report: rep, Key: e.key,
+					CacheHit: true, PointsReused: sel},
+				PointsSaved: e.full - sel, FullGridPoints: e.full, Converged: true,
 			}, nil
 		}
 	}
@@ -239,7 +216,6 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	fitPrev, errPrev := e.fit()
 	e.rounds++
 	e.ad.Round()
-	e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full})
 
 	stable := 0
 	for {
@@ -259,7 +235,6 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		fitCur, errCur := e.fit()
 		e.rounds++
 		e.ad.Round()
-		e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full})
 		if errPrev == nil && errCur == nil &&
 			sameModels(fitPrev, fitCur) && maxImprovement(fitPrev, fitCur) < e.opts.Improvement {
 			stable++
@@ -276,8 +251,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 }
 
 // finish assembles the campaign + report from the per-point records in
-// canonical grid order, publishes the adaptive campaign entry, and emits
-// the final progress update.
+// canonical grid order and publishes the adaptive campaign entry.
 func (e *engine) finish(ctx context.Context) (*Result, error) {
 	pts := e.selectedPoints()
 	samples := make([]workload.Sample, len(pts))
@@ -292,14 +266,13 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 	}
 
 	res := &Result{
-		Campaign: c, Report: rep, Key: e.key,
-		PointsReused: e.reused, PointsMeasured: e.measured,
+		Outcome: campaign.Outcome{Campaign: c, Report: rep, Key: e.key,
+			CacheHit: e.measured == 0, PointsReused: e.reused, PointsMeasured: e.measured},
 		PointsSaved:    e.full - e.selected(),
 		FullGridPoints: e.full,
 		Rounds:         e.rounds,
 		Converged:      e.converged,
 	}
-	res.CacheHit = res.PointsMeasured == 0
 	if e.converged {
 		e.ad.Converged()
 	} else {
@@ -312,31 +285,10 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 	if data, err := campaign.EncodeEntry(e.key, e.req.App.Name(), c, rep); err == nil {
 		_ = e.r.PutEntry(ctx, e.key, data)
 	}
-	e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full,
-		Saved: res.PointsSaved, Done: true})
 	return res, nil
 }
 
 func (e *engine) selected() int { return len(e.outcomes) }
-
-func (e *engine) update(u Update) {
-	if e.opts.Progress != nil {
-		e.opts.Progress(u)
-	}
-}
-
-// reportProgress forwards cumulative, monotone counts to the request's
-// campaign-style callbacks. total is always the full grid size: the spec
-// the caller asked about, of which an adaptive run completes only the
-// selected part.
-func (e *engine) reportProgress(done, reused, measured int) {
-	if e.req.Progress != nil {
-		e.req.Progress(done, e.full)
-	}
-	if e.req.PointProgress != nil {
-		e.req.PointProgress(reused, measured)
-	}
-}
 
 // seedPoints returns the baseline lines of the grid — every (p, n_min) and
 // (p_min, n) — in canonical order. The seed covers every distinct value of
@@ -383,82 +335,47 @@ func (e *engine) remaining() [][2]int {
 	return pts
 }
 
-// measure runs every point of the batch as a 1×1-grid sub-request through
-// the scheduler, concurrently, and folds the results into the engine's
-// per-point records. Results are keyed by configuration, so the fold order
-// (and therefore every downstream byte) is independent of scheduling.
+// measure runs one round — the seed lines or a batch, in canonical grid
+// order — as one point-set request and files the returned samples and
+// outcomes by configuration. The request's progress callbacks arrive in
+// order, so each is forwarded as this round's base plus the round's
+// counts; total is always the full grid, the spec the caller asked about,
+// of which an adaptive run completes only the selected part. A round lost
+// whole comes back as an error together with its full report, every
+// configuration quarantined; that is the same record a fixed-grid
+// campaign keeps for those points, so it is filed like any other round.
 func (e *engine) measure(ctx context.Context, pts [][2]int) error {
-	outs := make([]*campaign.Outcome, len(pts))
-	errs := make([]error, len(pts))
-	var wg sync.WaitGroup
-	for i, pt := range pts {
-		wg.Add(1)
-		go func(i int, pt [2]int) {
-			defer wg.Done()
-			sub := e.req
-			sub.Grid = workload.Grid{Procs: []int{pt[0]}, Ns: []int{pt[1]},
-				Seed: e.req.Grid.Seed, Repeats: e.req.Grid.Repeats}
-			// MinPoints 1: a single point is complete coverage of its own
-			// 1×1 grid; the adaptive report applies the real threshold to
-			// the assembled selection instead.
-			sub.MinPoints = 1
-			sub.Progress = nil
-			sub.PointProgress = nil
-			outs[i], errs[i] = e.r.Run(ctx, sub)
-			e.fold(pt, outs[i], errs[i])
-		}(i, pt)
+	round := e.req
+	round.Points = pts
+	done, reused, measured := e.selected(), e.reused, e.measured
+	if e.req.Progress != nil {
+		round.Progress = func(d, _ int) { e.req.Progress(done+d, e.full) }
 	}
-	wg.Wait()
-	var batchReused, batchMeasured int
-	for i, err := range errs {
-		if err != nil && !quarantinedRun(outs[i]) {
-			return fmt.Errorf("adaptive: measuring (p=%d, n=%d): %w", pts[i][0], pts[i][1], err)
+	if e.req.PointProgress != nil {
+		round.PointProgress = func(r, m int) { e.req.PointProgress(reused+r, measured+m) }
+	}
+	out, err := e.r.Run(ctx, round)
+	if out == nil || out.Report == nil || len(out.Report.Outcomes) != len(pts) {
+		if err == nil {
+			err = errors.New("runner returned no outcome record")
 		}
-		if out := outs[i]; out == nil || out.Report == nil || len(out.Report.Outcomes) != 1 {
-			return fmt.Errorf("adaptive: measuring (p=%d, n=%d): runner returned no outcome record",
-				pts[i][0], pts[i][1])
+		return fmt.Errorf("adaptive: measuring %d configurations: %w", len(pts), err)
+	}
+	for _, o := range out.Report.Outcomes {
+		e.outcomes[[2]int{o.P, o.N}] = o
+	}
+	if out.Campaign != nil {
+		for _, sm := range out.Campaign.Samples {
+			e.samples[[2]int{sm.P, sm.N}] = sm
 		}
-		batchReused += outs[i].PointsReused
-		batchMeasured += outs[i].PointsMeasured
-	}
-	e.ad.Points(batchReused, batchMeasured)
-	return nil
-}
-
-// fold records one sub-run's result under the engine lock and forwards
-// monotone cumulative progress. A sub-run whose only configuration was
-// quarantined returns an all-lost error together with a report carrying
-// the genuine quarantine record — the same record a fixed-grid campaign
-// stores for that point — so it is folded like any other outcome.
-func (e *engine) fold(pt [2]int, out *campaign.Outcome, err error) {
-	if err != nil && !quarantinedRun(out) {
-		return
-	}
-	if out == nil || out.Report == nil || len(out.Report.Outcomes) != 1 {
-		// A Runner that breaks the one-point contract; measure reports it.
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.outcomes[pt] = out.Report.Outcomes[0]
-	if out.Campaign != nil && len(out.Campaign.Samples) == 1 {
-		e.samples[pt] = out.Campaign.Samples[0]
 	}
 	if out.Report.Plan != "" {
 		e.plan = out.Report.Plan
 	}
 	e.reused += out.PointsReused
 	e.measured += out.PointsMeasured
-	e.done++
-	e.reportProgress(e.done, e.reused, e.measured)
-}
-
-// quarantinedRun reports whether a failed 1×1 sub-run is the all-lost case
-// (its single configuration exhausted the retry budget), which the engine
-// treats as a quarantined point rather than a run failure.
-func quarantinedRun(out *campaign.Outcome) bool {
-	return out != nil && out.Report != nil &&
-		len(out.Report.Outcomes) == 1 && out.Report.Outcomes[0].Quarantined
+	e.ad.Points(out.PointsReused, out.PointsMeasured)
+	return nil
 }
 
 // fit generates the five requirement models from the measured set so far.

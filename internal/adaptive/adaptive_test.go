@@ -336,14 +336,12 @@ func TestAdaptiveBudgetAndAccounting(t *testing.T) {
 	}
 }
 
-// Progress streams are monotone: Update.Selected and the campaign-style
-// done/reused/measured callbacks never regress, total is always the full
-// grid, and Saved stays 0 until the final update.
+// Progress streams are monotone: the campaign-style done/reused/measured
+// callbacks never regress, and total is always the full grid.
 func TestAdaptiveProgressMonotone(t *testing.T) {
 	ctx := context.Background()
 	full := len(testGrid().Procs) * len(testGrid().Ns)
 	var mu sync.Mutex
-	var updates []Update
 	lastDone, lastReused, lastMeasured := 0, 0, 0
 	req := campaign.Request{
 		App:  testApp(t),
@@ -369,33 +367,8 @@ func TestAdaptiveProgressMonotone(t *testing.T) {
 			lastReused, lastMeasured = reused, measured
 		},
 	}
-	opts := Options{Progress: func(u Update) {
-		mu.Lock()
-		defer mu.Unlock()
-		updates = append(updates, u)
-	}}
-	res, err := Run(ctx, newScheduler(t, campaign.Options{Workers: 4}), req, opts)
-	if err != nil {
+	if _, err := Run(ctx, newScheduler(t, campaign.Options{Workers: 4}), req, Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if len(updates) == 0 {
-		t.Fatal("no progress updates delivered")
-	}
-	for i, u := range updates {
-		final := i == len(updates)-1
-		if u.Done != final {
-			t.Errorf("update %d: Done = %v, want %v", i, u.Done, final)
-		}
-		if !final && u.Saved != 0 {
-			t.Errorf("update %d: Saved = %d before the final update", i, u.Saved)
-		}
-		if i > 0 && u.Selected < updates[i-1].Selected {
-			t.Errorf("update %d: Selected regressed from %d to %d",
-				i, updates[i-1].Selected, u.Selected)
-		}
-	}
-	if last := updates[len(updates)-1]; last.Saved != res.PointsSaved {
-		t.Errorf("final update Saved = %d, result says %d", last.Saved, res.PointsSaved)
 	}
 }
 

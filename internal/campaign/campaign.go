@@ -85,16 +85,25 @@ type Request struct {
 	Metrics   *obs.Registry
 	Tracer    *obs.Tracer
 	// Progress, when non-nil, receives per-configuration completion
-	// callbacks from the runner (done so far, total). Like the
-	// observability handles it does not participate in the cache key; a
-	// cache hit reports the whole grid done in one call.
+	// callbacks from the runner (done so far, total), serialized so done
+	// never goes backwards. Like the observability handles it does not
+	// participate in the cache key; a cache hit reports the whole grid
+	// done in one call.
 	Progress func(done, total int)
 	// PointProgress, when non-nil, receives the running assembly split —
 	// how many (p, n) configurations have been reused from the point cache
 	// versus measured by this request — each time either count changes.
-	// Servers mirror it into job snapshots. A campaign-entry hit reports
-	// the whole grid reused in one call.
+	// Calls are serialized, so neither count ever goes backwards. Servers
+	// mirror it into job snapshots. A campaign-entry hit reports the whole
+	// grid reused in one call.
 	PointProgress func(reused, measured int)
+	// Points, when non-nil, restricts the request to these (p, n)
+	// configurations of Grid, measured and returned in the order given;
+	// Progress then counts toward len(Points). A point-set request is not
+	// a campaign: Run neither looks up, counts nor stores a campaign entry
+	// for it, its point entries are the record, and its Outcome.Key stays
+	// zero. nil requests the whole grid.
+	Points [][2]int
 }
 
 // Outcome is a finished campaign together with its provenance: the cache
@@ -103,7 +112,9 @@ type Request struct {
 type Outcome struct {
 	Campaign *workload.Campaign
 	Report   *workload.CampaignReport
-	Key      Key
+	// Key is the campaign key the outcome is stored under; zero for a
+	// point-set request, which has no campaign entry.
+	Key Key
 	// CacheHit reports that nothing was measured: the campaign was served
 	// from its own cache entry, or assembled entirely from point entries.
 	CacheHit bool
@@ -417,10 +428,12 @@ func (s *Scheduler) storeWrite(ctx context.Context, key Key, data []byte, cm cac
 // only for its novel points. Freshly measured points are published to the
 // point cache as they complete (other processes sharing the store pick
 // them up mid-campaign), and the finished campaign is stored whole under
-// its campaign key as a fast path for exact reruns. Failed campaigns are
-// never cached at campaign level, but their completed points are; their
-// report, when the runner produced one, is returned alongside the error
-// so callers can render the partial account. A store write failure
+// its campaign key as a fast path for exact reruns. A point-set request
+// (Request.Points) takes the same point path and skips the campaign
+// entry on both ends. Failed campaigns are never cached at campaign
+// level, but their completed points are; their report, when the runner
+// produced one, is returned alongside the error so callers can render the
+// partial account. A store write failure
 // (ENOSPC, a directory deleted under a long-lived server, ...) never
 // fails the request: the scheduler counts it (Stats.DiskErrors,
 // cache_disk_error), warns once through Options.Logf, and stops writing
@@ -433,10 +446,77 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	if s.pool.closed() {
 		return nil, ErrClosed
 	}
-	key := ComputeKey(req)
 	cm := newCacheMetrics(req.Metrics)
-	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
+	var key Key
+	if req.Points == nil {
+		key = ComputeKey(req)
+		if out := s.cached(ctx, req, key, cm); out != nil {
+			return out, nil
+		}
+		s.misses.Add(1)
+		cm.addMiss()
+	}
 
+	// Counting and reporting a point is one step under pointMu, so
+	// PointProgress never sees a count go backwards.
+	var pointMu sync.Mutex
+	var reused, measured int
+	countPoint := func(n *int) {
+		pointMu.Lock()
+		defer pointMu.Unlock()
+		*n++
+		if req.PointProgress != nil {
+			req.PointProgress(reused, measured)
+		}
+	}
+	r := &workload.ResilientRunner{
+		App:       req.App,
+		Faults:    req.Faults,
+		Retries:   req.Retries,
+		MinPoints: req.MinPoints,
+		Points:    req.Points,
+		Metrics:   req.Metrics,
+		Tracer:    req.Tracer,
+		Progress:  req.Progress,
+		Exec:      s.exec(ctx),
+		Prefill: func(pctx context.Context, p, n int) (workload.Sample, workload.ConfigOutcome, bool) {
+			sm, out, ok := s.loadPoint(pctx, req, p, n, cm)
+			if ok {
+				countPoint(&reused)
+			}
+			return sm, out, ok
+		},
+		OnConfig: func(pctx context.Context, sm workload.Sample, out workload.ConfigOutcome) {
+			countPoint(&measured)
+			s.publishPoint(pctx, req, sm, out, cm)
+		},
+	}
+	c, rep, err := r.Run(ctx, req.Grid)
+	outcome := &Outcome{Report: rep, Key: key, PointsReused: reused, PointsMeasured: measured}
+	if err != nil {
+		return outcome, err
+	}
+	outcome.Campaign = c
+	// Nothing measured means the whole grid came from cache — the
+	// campaign key was cold but every point was warm.
+	outcome.CacheHit = outcome.PointsMeasured == 0
+	if req.Points != nil {
+		return outcome, nil // the point entries are the record
+	}
+	data, err := EncodeEntry(key, req.App.Name(), c, rep)
+	if err != nil {
+		// Campaigns are plain data; this cannot happen. Degrade loudly.
+		return outcome, err
+	}
+	s.mem.put(key, data)
+	s.storeWrite(ctx, key, data, cm)
+	return outcome, nil
+}
+
+// cached serves req from its campaign entry — memory first, then the
+// store — or returns nil on a miss.
+func (s *Scheduler) cached(ctx context.Context, req Request, key Key, cm cacheMetrics) *Outcome {
+	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
 	if data, h, ok := s.mem.getHit(key); ok {
 		if h == nil {
 			// The first memory hit on bytes a miss or PutEntry put decodes
@@ -448,7 +528,7 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 			}
 		}
 		if h != nil {
-			return s.hit(req, key, h, cm), nil
+			return s.hit(req, key, h, cm)
 		}
 	}
 	if s.store != nil {
@@ -456,62 +536,13 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 			if h, err := decodeHit(key, data, gridPoints); err == nil {
 				s.bytes.Add(int64(len(data)))
 				cm.addBytes(int64(len(data)))
-				return s.hit(req, key, s.mem.putHit(key, data, h), cm), nil
+				return s.hit(req, key, s.mem.putHit(key, data, h), cm)
 			}
 			// Corrupt stored entry: treat as a miss; the fresh result
-			// below overwrites it atomically.
+			// overwrites it atomically.
 		}
 	}
-
-	s.misses.Add(1)
-	cm.addMiss()
-	var reused, measured atomic.Int64
-	reportPoints := func() {
-		if req.PointProgress != nil {
-			req.PointProgress(int(reused.Load()), int(measured.Load()))
-		}
-	}
-	r := &workload.ResilientRunner{
-		App:       req.App,
-		Faults:    req.Faults,
-		Retries:   req.Retries,
-		MinPoints: req.MinPoints,
-		Metrics:   req.Metrics,
-		Tracer:    req.Tracer,
-		Progress:  req.Progress,
-		Exec:      s.exec(ctx),
-		Prefill: func(pctx context.Context, p, n int) (workload.Sample, workload.ConfigOutcome, bool) {
-			sm, out, ok := s.loadPoint(pctx, req, p, n, cm)
-			if ok {
-				reused.Add(1)
-				reportPoints()
-			}
-			return sm, out, ok
-		},
-		OnConfig: func(pctx context.Context, sm workload.Sample, out workload.ConfigOutcome) {
-			measured.Add(1)
-			reportPoints()
-			s.publishPoint(pctx, req, sm, out, cm)
-		},
-	}
-	c, rep, err := r.Run(ctx, req.Grid)
-	outcome := &Outcome{Report: rep, Key: key,
-		PointsReused: int(reused.Load()), PointsMeasured: int(measured.Load())}
-	if err != nil {
-		return outcome, err
-	}
-	outcome.Campaign = c
-	// Nothing measured means the whole grid came from cache — the
-	// campaign key was cold but every point was warm.
-	outcome.CacheHit = outcome.PointsMeasured == 0
-	data, err := EncodeEntry(key, req.App.Name(), c, rep)
-	if err != nil {
-		// Campaigns are plain data; this cannot happen. Degrade loudly.
-		return outcome, err
-	}
-	s.mem.put(key, data)
-	s.storeWrite(ctx, key, data, cm)
-	return outcome, nil
+	return nil
 }
 
 // decodeHit decodes a campaign entry into the memory tier's form of it:
@@ -543,8 +574,9 @@ func (s *Scheduler) hit(req Request, key Key, h *hitForm, cm cacheMetrics) *Outc
 }
 
 // loadPoint looks one (p, n) configuration up in the point cache (memory
-// first, then the store). A hit decodes and validates; anything unreadable
-// degrades to a miss and is re-measured.
+// first, then the store). A hit decodes and validates, and must describe
+// (p, n) itself; anything else — unreadable bytes, or an entry filed
+// under the wrong point — degrades to a miss and is re-measured.
 func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, cm cacheMetrics) (workload.Sample, workload.ConfigOutcome, bool) {
 	pk := ComputePointKey(req, p, n)
 	data, ok := s.pmem.get(pk)
@@ -554,7 +586,8 @@ func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, cm cac
 		fromStore = ok
 	}
 	if ok {
-		if sm, out, err := decodePoint(pk, data); err == nil {
+		// decodePoint has checked that the sample names the outcome's point.
+		if sm, out, err := decodePoint(pk, data); err == nil && out.P == p && out.N == n {
 			if fromStore {
 				s.pmem.put(pk, data)
 				s.bytes.Add(int64(len(data)))

@@ -130,8 +130,10 @@ func encodePoint(key Key, app string, s workload.Sample, out workload.ConfigOutc
 }
 
 // decodePoint unmarshals a point entry and validates it against the key
-// that addressed it; any mismatch is treated as a miss by the Scheduler,
-// which then measures the point afresh.
+// that addressed it, and checks that a sample names the same (p, n) as
+// its outcome (a quarantined point has no sample); any mismatch is
+// treated as a miss by the Scheduler, which then measures the point
+// afresh.
 func decodePoint(key Key, data []byte) (workload.Sample, workload.ConfigOutcome, error) {
 	var e pointEntry
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -143,8 +145,14 @@ func decodePoint(key Key, data []byte) (workload.Sample, workload.ConfigOutcome,
 	if e.Key != key.String() {
 		return workload.Sample{}, workload.ConfigOutcome{}, fmt.Errorf("campaign: point entry key %s does not match %s", e.Key, key)
 	}
-	if !e.Outcome.Quarantined && e.Sample.Values == nil {
-		return workload.Sample{}, workload.ConfigOutcome{}, fmt.Errorf("campaign: point entry missing sample values")
+	if !e.Outcome.Quarantined {
+		if e.Sample.Values == nil {
+			return workload.Sample{}, workload.ConfigOutcome{}, fmt.Errorf("campaign: point entry missing sample values")
+		}
+		if e.Sample.P != e.Outcome.P || e.Sample.N != e.Outcome.N {
+			return workload.Sample{}, workload.ConfigOutcome{}, fmt.Errorf("campaign: point entry sample (p=%d, n=%d) does not match its outcome (p=%d, n=%d)",
+				e.Sample.P, e.Sample.N, e.Outcome.P, e.Outcome.N)
+		}
 	}
 	return e.Sample, e.Outcome, nil
 }
@@ -182,7 +190,9 @@ const (
 
 // ValidateEntry checks that data is a well-formed cache entry — point or
 // campaign — whose embedded key matches k and whose format version is
-// current. Servers accepting uploads on the /v1/points endpoint use it to
+// current; a point entry's sample must also name its outcome's (p, n).
+// The key is a hash, so which point it addresses is checked where the
+// point is known: a load filed under another point is a miss. Servers accepting uploads on the /v1/points endpoint use it to
 // keep garbage and stale-version entries out of a shared store: a peer
 // running an older KeyVersion is rejected here instead of poisoning
 // every later load (which would tolerate but re-measure the entry

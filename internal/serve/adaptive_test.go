@@ -223,7 +223,7 @@ func TestStartAdaptiveSeparateFlight(t *testing.T) {
 	}
 	t.Cleanup(sched.Close)
 	// Not newTestServer: that helper substitutes a stubRunner, and this
-	// test needs real 1x1 sub-campaigns behind the adaptive flight.
+	// test needs real point-set rounds behind the adaptive flight.
 	s, err := New(Options{Runner: sched, Metrics: obs.NewRegistry(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

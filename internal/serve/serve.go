@@ -448,25 +448,14 @@ func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, a
 	var out *campaign.Outcome
 	var err error
 	if aopts != nil {
-		o := *aopts
-		o.Progress = func(u adaptive.Update) {
-			// Saved is 0 until the engine commits, so this store flips the
-			// snapshot field exactly once, keeping it monotone.
-			if u.Saved > 0 {
-				f.saved.Store(int64(u.Saved))
-			}
-		}
 		var res *adaptive.Result
-		res, err = adaptive.Run(ctx, s.opts.Runner, req, o)
+		res, err = adaptive.Run(ctx, s.opts.Runner, req, *aopts)
 		if res != nil {
-			out = &campaign.Outcome{
-				Campaign:       res.Campaign,
-				Report:         res.Report,
-				Key:            res.Key,
-				CacheHit:       res.CacheHit,
-				PointsReused:   res.PointsReused,
-				PointsMeasured: res.PointsMeasured,
-			}
+			// The engine knows what it skipped only once it stops; storing
+			// it before the flight leaves s.flights flips the snapshot
+			// field exactly once, keeping it monotone.
+			f.saved.Store(int64(res.PointsSaved))
+			out = &res.Outcome
 		}
 	} else {
 		out, err = s.opts.Runner.Run(ctx, req)

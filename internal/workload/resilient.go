@@ -73,15 +73,19 @@ type ResilientRunner struct {
 	// Tracer records the per-rank runtime events of every attempt; runs
 	// are tagged "app/p=../n=../attempt=../rep=..". nil disables tracing.
 	Tracer *obs.Tracer
-	// Progress, when non-nil, is called after each grid configuration
-	// finishes (recovered or quarantined alike) with the count of finished
-	// configurations and the grid total. Calls may arrive from concurrent
-	// workers but done is unique per call and reaches total exactly once;
-	// servers use this to answer progress polls for long campaigns. The
-	// callback runs on the measurement path, so it must be cheap and must
-	// not block. Configurations supplied by Prefill are counted as
-	// instantly done: one leading Progress call covers all of them before
-	// any measurement starts.
+	// Points, when non-nil, restricts Run to these (p, n) configurations
+	// of the grid, measured and returned in the order given; each must lie
+	// on the grid, once. nil measures the whole grid.
+	Points [][2]int
+	// Progress, when non-nil, is called after each configuration finishes
+	// (recovered or quarantined alike) with the count of finished
+	// configurations and the total. Calls are serialized: done rises by
+	// one per call, in order, and reaches total exactly once; servers use
+	// this to answer progress polls for long campaigns. The callback runs
+	// on the measurement path under the runner's progress lock, so it must
+	// be cheap and must not block. Configurations supplied by Prefill are
+	// counted as instantly done: one leading Progress call covers all of
+	// them before any measurement starts.
 	Progress func(done, total int)
 	// Prefill, when non-nil, is consulted once per grid configuration
 	// before any measurement, under the context Run was given (a remote
@@ -92,7 +96,8 @@ type ResilientRunner struct {
 	// previous campaign did not already cover. Prefilled results must be
 	// what a fresh measurement would have produced (the runner trusts them
 	// verbatim when assembling the campaign and report). Prefill is called
-	// serially from Run, in grid (p-major, n-minor) order.
+	// serially from Run, in campaign order: grid (p-major, n-minor) order,
+	// or the order of Points.
 	Prefill func(ctx context.Context, p, n int) (Sample, ConfigOutcome, bool)
 	// OnConfig, when non-nil, receives every freshly measured
 	// configuration's result the moment it completes (prefilled
@@ -145,10 +150,10 @@ type CampaignReport struct {
 	Recovered int `json:"recovered"`
 	// ExtraRuns counts the failed runs that were retried or quarantined.
 	ExtraRuns int `json:"extra_runs"`
-	// Quarantined lists the lost configurations in campaign (p-major,
-	// n-minor) order.
+	// Quarantined lists the lost configurations in campaign order.
 	Quarantined []ConfigOutcome `json:"quarantined,omitempty"`
-	// Outcomes holds every configuration's history in campaign order.
+	// Outcomes holds every configuration's history in campaign order:
+	// grid (p-major, n-minor) order, or the order of the runner's Points.
 	Outcomes []ConfigOutcome `json:"outcomes"`
 	// AxisWarnings flags parameter axes whose surviving coverage fell
 	// below the five-point rule (§II-C).
@@ -410,14 +415,15 @@ func ownPoolExec(workers int, app string) ExecFunc {
 	}
 }
 
-// Run measures the app over the grid with retries and quarantine, and
-// returns the campaign of surviving samples (p-major/n-minor order, lost
-// configurations omitted) together with the campaign report. ctx reaches
+// Run measures the app over the grid (or the configurations r.Points
+// names) with retries and quarantine, and returns the campaign of
+// surviving samples (campaign order, lost configurations omitted)
+// together with the campaign report. ctx reaches
 // the Prefill and OnConfig hooks (nil counts as context.Background());
 // measurement itself is cancelled through the Exec seam, which schedulers
-// derive from the same context. Run fails only when the grid is invalid
-// or when no configuration survives; losing part of the grid degrades the
-// report instead.
+// derive from the same context. Run fails only when the grid or point set
+// is invalid or when no configuration survives; losing part of the grid
+// degrades the report instead.
 func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *CampaignReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -429,12 +435,9 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		return nil, nil, err
 	}
 
-	type config struct{ p, n int }
-	var configs []config
-	for _, p := range grid.Procs {
-		for _, n := range grid.Ns {
-			configs = append(configs, config{p, n})
-		}
+	configs, err := r.configs(grid)
+	if err != nil {
+		return nil, nil, err
 	}
 	samples := make([]Sample, len(configs))
 	outcomes := make([]ConfigOutcome, len(configs))
@@ -450,7 +453,7 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		}
 	} else {
 		for i, c := range configs {
-			if s, out, ok := r.Prefill(ctx, c.p, c.n); ok {
+			if s, out, ok := r.Prefill(ctx, c[0], c[1]); ok {
 				samples[i], outcomes[i] = s, out
 				continue
 			}
@@ -466,7 +469,7 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 	// cached samples.
 	neededN := map[int]bool{}
 	for _, i := range missing {
-		neededN[configs[i].n] = true
+		neededN[configs[i][1]] = true
 	}
 	stackByN := map[int]float64{}
 	for _, n := range grid.Ns {
@@ -492,20 +495,26 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 	if exec == nil {
 		exec = ownPoolExec(workers, r.App.Name())
 	}
-	var finished atomic.Int64
-	finished.Store(int64(prefilled))
+	// Counting and reporting a finished configuration is one step under
+	// progressMu, so done arrives in order even when workers finish
+	// together.
+	var progressMu sync.Mutex
+	finished := prefilled
 	if r.Progress != nil && prefilled > 0 {
 		r.Progress(prefilled, len(configs))
 	}
 	if err := exec(len(missing), func(j int) {
 		i := missing[j]
-		p, n := configs[i].p, configs[i].n
+		p, n := configs[i][0], configs[i][1]
 		samples[i], outcomes[i] = r.measureConfig(grid, p, n, stackByN[n], cm)
 		if r.OnConfig != nil {
 			r.OnConfig(ctx, samples[i], outcomes[i])
 		}
 		if r.Progress != nil {
-			r.Progress(int(finished.Add(1)), len(configs))
+			progressMu.Lock()
+			finished++
+			r.Progress(finished, len(configs))
+			progressMu.Unlock()
 		}
 	}); err != nil {
 		return nil, nil, err
@@ -523,15 +532,47 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 	return c, report, nil
 }
 
+// configs returns the configurations Run measures, in campaign order:
+// r.Points, checked against the grid, or the whole grid in p-major,
+// n-minor order.
+func (r *ResilientRunner) configs(grid Grid) ([][2]int, error) {
+	if r.Points == nil {
+		configs := make([][2]int, 0, len(grid.Procs)*len(grid.Ns))
+		for _, p := range grid.Procs {
+			for _, n := range grid.Ns {
+				configs = append(configs, [2]int{p, n})
+			}
+		}
+		return configs, nil
+	}
+	if len(r.Points) == 0 {
+		return nil, fmt.Errorf("workload: empty point set (nil Points selects the whole grid)")
+	}
+	seen := make(map[[2]int]bool, len(r.Points))
+	for _, pt := range r.Points {
+		if !slices.Contains(grid.Procs, pt[0]) || !slices.Contains(grid.Ns, pt[1]) {
+			return nil, fmt.Errorf("workload: point (p=%d, n=%d) is not on the grid", pt[0], pt[1])
+		}
+		if seen[pt] {
+			return nil, fmt.Errorf("workload: point (p=%d, n=%d) is listed twice", pt[0], pt[1])
+		}
+		seen[pt] = true
+	}
+	return r.Points, nil
+}
+
 // Assemble builds a campaign and its report from per-configuration
-// samples and outcomes given in campaign (p-major, n-minor) order.
-// Quarantined configurations are left out of the campaign and listed in
-// the report, and the axis values that survive are checked against
-// minPoints (<= 0 selects FivePointRule). plan is the report's fault plan
-// in ParseFaultSpec grammar ("" for none). A campaign that lost every
-// configuration comes back with no samples; the caller reports that.
+// samples and outcomes given in campaign order. Quarantined
+// configurations are left out of the campaign and listed in the report,
+// and the axis values that survive are checked against minPoints (<= 0
+// selects FivePointRule). plan is the report's fault plan in
+// ParseFaultSpec grammar ("" for none). The campaign owns copies of the
+// grid's axes, so writing through it cannot change the caller's grid. A
+// campaign that lost every configuration comes back with no samples; the
+// caller reports that.
 func Assemble(app string, grid Grid, plan string, samples []Sample, outcomes []ConfigOutcome, minPoints int) (*Campaign, *CampaignReport) {
 	report := &CampaignReport{App: app, Plan: plan, Configs: len(outcomes), Outcomes: outcomes}
+	grid.Procs, grid.Ns = slices.Clone(grid.Procs), slices.Clone(grid.Ns)
 	c := &Campaign{App: app, Grid: grid}
 	survivingP, survivingN := map[int]bool{}, map[int]bool{}
 	for i, out := range outcomes {

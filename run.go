@@ -261,29 +261,25 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 // last round's fits. On error the Result still carries whatever report was
 // produced.
 func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, fc *modeling.FitCache, req campaign.Request) (*Result, error) {
+	res := &Result{}
+	var out *campaign.Outcome
+	var err error
 	if cfg.adaptive != nil {
 		o := *cfg.adaptive
 		o.FitCache = fc
-		aout, err := adaptive.Run(ctx, sched, req, o)
-		if err != nil {
-			return &Result{}, err
-		}
-		return &Result{
-			Campaign:       aout.Campaign,
-			Report:         aout.Report,
-			CacheHit:       aout.CacheHit,
-			PointsReused:   aout.PointsReused,
-			PointsMeasured: aout.PointsMeasured,
-			PointsSaved:    aout.PointsSaved,
-			Adaptive: &AdaptiveSummary{
+		var aout *adaptive.Result
+		if aout, err = adaptive.Run(ctx, sched, req, o); aout != nil {
+			out = &aout.Outcome
+			res.PointsSaved = aout.PointsSaved
+			res.Adaptive = &AdaptiveSummary{
 				Rounds:         aout.Rounds,
 				Converged:      aout.Converged,
 				FullGridPoints: aout.FullGridPoints,
-			},
-		}, nil
+			}
+		}
+	} else {
+		out, err = sched.Run(ctx, req)
 	}
-	out, err := sched.Run(ctx, req)
-	res := &Result{}
 	if out != nil {
 		res.Report = out.Report
 		res.PointsReused = out.PointsReused
@@ -330,8 +326,8 @@ func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error
 	}
 	// One goroutine per app over the shared scheduler, whose one pool runs
 	// every app's configurations; adaptive runs are independent per app,
-	// so they refine concurrently while their sub-requests share the pool
-	// and point cache.
+	// so they refine concurrently while their rounds, one point-set
+	// request each, share the pool and point cache.
 	fc := modeling.NewFitCache()
 	results := make([]*Result, len(all))
 	campaigns := make([]*Campaign, len(all))

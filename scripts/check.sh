@@ -40,11 +40,15 @@ echo "== perfbench: go vet + go test =="
 
 # Adaptive soak: concurrent adaptive + fixed-grid campaigns sharing one
 # point store, under the race detector, pinning that shared points are
-# measured at most once and the adaptive result stays byte-identical. The
-# suite above already runs it; this explicit pass keeps the guarantee
-# visible (and failing loudly) even if the test file moves or is renamed.
+# measured at most once and the adaptive result stays byte-identical, plus
+# the SHA-256 pins of the adaptive result (with and without a round lost
+# whole) and the one-scheduler-call-per-round count. The suite above
+# already runs them; this explicit pass keeps the guarantees visible (and
+# failing loudly) even if the test file moves or is renamed.
 echo "== adaptive -race soak =="
-go test -race -count=1 -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic' ./internal/adaptive/
+go test -race -count=1 \
+    -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic|TestAdaptivePins|TestAdaptiveOneRunPerRound' \
+    ./internal/adaptive/
 
 # Bench smoke: one iteration of every Measure* benchmark, so a change that
 # breaks the hot-path or cache benches fails the gate without paying for a
@@ -63,7 +67,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # gate time for measurement stability. Every benchmark runs five times
 # (-count=5) and cmd/benchjson records the median with its min/max: a
 # single run drifted with the host by as much as 43% between records.
-BENCH_PR=${BENCH_PR:-22}
+BENCH_PR=${BENCH_PR:-23}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count 5) =="
 {

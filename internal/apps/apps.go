@@ -12,10 +12,15 @@
 // EXPERIMENTS.md).
 //
 // To keep simulation time bounded, compute kernels execute representative
-// arithmetic on a strided subset of their data (workSampling) while the
+// arithmetic on one element in workSampling of their data while the
 // counters record the full semantic operation counts. Requirements models
 // are built from the counters, which is exactly the quantity the paper
-// measures.
+// measures. A kernel's array therefore holds only the elements its
+// arithmetic visits: a logical array of length L is stored as sampled(L)
+// elements, every one of which touch visits. The footprint the counters
+// record (Counters.Alloc) stays that of the logical arrays, and every
+// kernel evaluates its arithmetic as often, on the same values, as it
+// would visiting every workSampling-th element of the full array.
 package apps
 
 import (
@@ -130,6 +135,10 @@ func Names() []string {
 // arithmetic; counters always record the full semantic counts.
 const workSampling = 8
 
+// sampled returns how many elements store a logical array of length l:
+// the ceil(l/workSampling) that a strided pass over it would visit.
+func sampled(l int) int { return (l + workSampling - 1) / workSampling }
+
 // jitter returns a deterministic multiplicative noise factor ~ N(1, sigma)
 // for the given config and stream label, emulating run-to-run convergence
 // variation. The factor is clamped to [1-3sigma, 1+3sigma].
@@ -153,14 +162,24 @@ func log2i(x int) float64 {
 	return math.Log2(float64(x))
 }
 
-// touch performs representative arithmetic over data with the package
-// sampling stride and returns a value that depends on every visited
-// element, preventing dead-code elimination.
+// touch performs representative arithmetic on every element of data, the
+// sampled storage of a logical array (see sampled), and returns a value
+// that depends on every element, preventing dead-code elimination.
 func touch(data []float64, f func(v float64) float64) float64 {
 	acc := 0.0
-	for i := 0; i < len(data); i += workSampling {
-		data[i] = f(data[i])
+	for i, v := range data {
+		data[i] = f(v)
 		acc += data[i]
+	}
+	if countTouches && touchHook != nil {
+		touchHook(len(data), acc)
 	}
 	return acc
 }
+
+// touchHook, when set in a build with -tags touchpin (countTouches), sees
+// every touch call: how many times it evaluated f and the sum it returns.
+// TestTouchEvaluationsPinned sets it to pin the arithmetic each proxy
+// performs. Other builds compile the check away, so touch stays small
+// enough to inline and its f calls inline into the kernels.
+var touchHook func(evals int, acc float64)

@@ -2,6 +2,8 @@ package apps
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"extrareq/internal/counters"
@@ -246,5 +248,92 @@ func TestMeanCounters(t *testing.T) {
 	}
 	if meanCounters(nil, counters.FLOP) != 0 {
 		t.Error("empty mean should be 0")
+	}
+}
+
+// TestTouchEvaluationsPinned pins, per proxy at one configuration, how
+// many times the sampled kernels evaluate their arithmetic inside touch,
+// how many touch calls there are, and the wrapping sum of the bits of
+// every value touch returns (order-free, so the concurrent ranks cannot
+// reorder it). The numbers were recorded when every kernel still strode
+// through full-length arrays: storing only the sampled elements must
+// neither skip arithmetic nor change a value. touch reports its calls only
+// in builds with -tags touchpin, which scripts/check.sh runs.
+func TestTouchEvaluationsPinned(t *testing.T) {
+	if !countTouches {
+		t.Skip("touch reports its calls only with -tags touchpin")
+	}
+	pins := map[string]struct {
+		calls, evals int64
+		sum          uint64
+	}{
+		"Kripke":  {8192, 36864, 0x81a0000000000000},
+		"LULESH":  {264, 8448, 0x51fb3a0608b2e7c4},
+		"MILC":    {240, 61440, 0x58b75392e564464c},
+		"Relearn": {8, 256, 0x000a3d70a3d70a54},
+		"icoFoam": {96, 3072, 0x0306c0f1bdd833bc},
+	}
+	defer func() { touchHook = nil }()
+	for _, a := range All() {
+		var mu sync.Mutex
+		var calls, evals int64
+		var sum uint64
+		touchHook = func(n int, acc float64) {
+			mu.Lock()
+			calls++
+			evals += int64(n)
+			sum += math.Float64bits(acc)
+			mu.Unlock()
+		}
+		if _, err := a.Run(Config{Procs: 4, N: 256, Seed: 1}); err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		want := pins[a.Name()]
+		if calls != want.calls || evals != want.evals || sum != want.sum {
+			t.Errorf("%s: %d touch calls, %d evaluations, value sum %#016x; want %d, %d, %#016x",
+				a.Name(), calls, evals, sum, want.calls, want.evals, want.sum)
+		}
+	}
+}
+
+// observer passes each probe access to an analyzer and keeps the distance
+// it returns.
+type observer struct {
+	an   *locality.Analyzer
+	seen []locality.Distance
+	ok   []bool
+}
+
+func (o *observer) Record(addr uint64, group string) {
+	d, ok := o.an.Observe(addr, group)
+	o.seen = append(o.seen, d)
+	o.ok = append(o.ok, ok)
+}
+
+// TestLocalityResetMatchesFresh: one analyzer reset between probes, as a
+// campaign's runner uses it, returns the same distance for every access
+// and the same group statistics as a fresh analyzer, for every proxy at
+// n = 2048 and 128, in both orders.
+func TestLocalityResetMatchesFresh(t *testing.T) {
+	analyzer := func() *locality.Analyzer {
+		an := locality.NewAnalyzer()
+		an.MaxSamplesPerGroup = 1 << 14 // the campaign runner's cap
+		return an
+	}
+	for _, a := range All() {
+		reused := analyzer()
+		for _, n := range []int{2048, 128, 2048} {
+			want := &observer{an: analyzer()}
+			a.LocalityProbe(n, want)
+			reused.Reset()
+			got := &observer{an: reused}
+			a.LocalityProbe(n, got)
+			if !reflect.DeepEqual(got.seen, want.seen) || !reflect.DeepEqual(got.ok, want.ok) {
+				t.Errorf("%s n=%d: a reset analyzer returned other distances than a fresh one", a.Name(), n)
+			}
+			if g, w := got.an.Groups(), want.an.Groups(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s n=%d: reset analyzer groups %+v, fresh %+v", a.Name(), n, g, w)
+			}
+		}
 	}
 }

@@ -40,8 +40,9 @@ func (f *IcoFoam) Run(cfg Config) ([]simmpi.Result, error) {
 		n := cfg.N
 
 		// Allocation: 10 field arrays plus the replicated global
-		// communication maps that grow with p·log p.
-		pressure := make([]float64, n)
+		// communication maps that grow with p·log p; the swept pressure
+		// field stores only its sampled elements.
+		pressure := make([]float64, sampled(n))
 		p.Counters.Alloc(int64(8 * 10 * n))
 		p.Counters.Alloc(int64(32 * float64(p.Size()) * (1 + log2i(p.Size()))))
 
@@ -67,8 +68,8 @@ func (f *IcoFoam) Run(cfg Config) ([]simmpi.Result, error) {
 						p.Allreduce([]float64{2}, simmpi.Sum)
 						// Halo exchange of the boundary row.
 						if p.Size() > 1 {
-							cart.Exchange(0, 1, halo)
-							cart.Exchange(0, -1, halo)
+							cart.Exchange(0, 1, halo, nil)
+							cart.Exchange(0, -1, halo, nil)
 						}
 					}
 				})

@@ -37,6 +37,9 @@ func (k *Kripke) Name() string { return "Kripke" }
 // loads term.
 const kripkeScanChunk = 1
 
+// kripkeFlags is the length of the sweep-readiness ring buffer.
+const kripkeFlags = 64
+
 // Run implements App.
 func (k *Kripke) Run(cfg Config) ([]simmpi.Result, error) {
 	if err := cfg.validate(2); err != nil {
@@ -51,11 +54,15 @@ func (k *Kripke) Run(cfg Config) ([]simmpi.Result, error) {
 		// cross sections sigma[n], face buffer (n/4). The sweep-readiness
 		// flags live in a fixed-size ring buffer (the schedule scan still
 		// costs p loads per zone, but the resident memory stays O(1)).
-		psi := make([]float64, n*g)
+		// psi and flags store only their sampled elements; psi keeps the
+		// sampled(g) of each zone's g-group chunk, since the sweep touches
+		// one zone (kripkeScanChunk) at a time.
+		gs := sampled(g)
+		psi := make([]float64, n*gs)
 		sigma := make([]float64, n)
-		flags := make([]float64, 64)
+		flags := make([]float64, sampled(kripkeFlags))
 		face := make([]float64, max(n/4, 1))
-		p.Counters.Alloc(int64(8 * (2*n*g + n + len(flags) + len(face))))
+		p.Counters.Alloc(int64(8 * (2*n*g + n + kripkeFlags + len(face))))
 
 		for step := 0; step < cfg.Steps; step++ {
 			for octant := 0; octant < 2; octant++ {
@@ -67,7 +74,7 @@ func (k *Kripke) Run(cfg Config) ([]simmpi.Result, error) {
 					// Receive the upstream face (pipeline dependency).
 					if up >= 0 && up < p.Size() {
 						p.Prof.InRegion("MPI_Recv", func() {
-							copy(face, p.Recv(up))
+							p.RecvInto(up, face)
 						})
 					}
 					// Zone sweep.
@@ -78,7 +85,7 @@ func (k *Kripke) Run(cfg Config) ([]simmpi.Result, error) {
 						p.AddLoads(int64(p.Size()))
 
 						hi := min(z0+kripkeScanChunk, n)
-						chunk := psi[z0*g : hi*g]
+						chunk := psi[z0*gs : hi*gs]
 						touch(chunk, func(v float64) float64 {
 							return 0.99*v + 0.01*sigma[z0%n]
 						})

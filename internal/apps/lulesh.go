@@ -42,8 +42,9 @@ func (l *LULESH) Run(cfg Config) ([]simmpi.Result, error) {
 		n := cfg.N
 		levels := int(math.Max(1, math.Ceil(log2i(n))))
 
-		// Allocation: 8 field arrays of n plus one gather table per level.
-		fields := make([]float64, n)
+		// Allocation: 8 field arrays of n plus one gather table per level;
+		// the swept field stores only its sampled elements.
+		fields := make([]float64, sampled(n))
 		p.Counters.Alloc(int64(8 * 8 * n))
 		p.Counters.Alloc(int64(8 * n * levels))
 
@@ -76,8 +77,8 @@ func (l *LULESH) Run(cfg Config) ([]simmpi.Result, error) {
 						// Ghost exchange per sub-cycle: total volume
 						// ∝ n·p^0.25·log p.
 						if p.Size() > 1 {
-							cart.Exchange(0, 1, ghost)
-							cart.Exchange(0, -1, ghost)
+							cart.Exchange(0, 1, ghost, nil)
+							cart.Exchange(0, -1, ghost, nil)
 						}
 					}
 				})

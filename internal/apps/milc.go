@@ -45,8 +45,8 @@ func (m *MILC) Run(cfg Config) ([]simmpi.Result, error) {
 		n := cfg.N
 
 		// Allocation: 4-direction gauge links (2 words each) + 5 fermion
-		// vectors.
-		links := make([]float64, 8*n)
+		// vectors; the links store only their sampled elements.
+		links := make([]float64, sampled(8*n))
 		p.Counters.Alloc(int64(8 * 8 * n))
 		p.Counters.Alloc(int64(8 * 5 * n))
 
@@ -77,8 +77,8 @@ func (m *MILC) Run(cfg Config) ([]simmpi.Result, error) {
 			p.Prof.InRegion("halo", func() {
 				if p.Size() > 1 {
 					for dir := 0; dir < 4; dir++ { // 4D lattice: 4 exchange directions
-						cart.Exchange(0, 1, halo)
-						cart.Exchange(0, -1, halo)
+						cart.Exchange(0, 1, halo, nil)
+						cart.Exchange(0, -1, halo, nil)
 					}
 				}
 			})

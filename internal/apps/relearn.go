@@ -48,10 +48,20 @@ func (r *Relearn) Run(cfg Config) ([]simmpi.Result, error) {
 		buckets := int(math.Ceil(math.Sqrt(float64(n))))
 		p.Counters.Alloc(int64(buckets * relearnBucketBytes))
 		p.Counters.Alloc(int64(16 * n))
-		state := make([]float64, n)
+		state := make([]float64, sampled(n))
 
 		logn, logp := log2i(n), log2i(p.Size())
 		activity := make([]float64, 512)
+		// Migration counts, the same every step.
+		chunks := make([][]float64, p.Size())
+		for d := range chunks {
+			chunks[d] = []float64{float64(d), 1}
+		}
+		syn := make([]float64, max(n/64, 1))
+		cart, err := p.NewCart([]int{p.Size()}, []bool{true})
+		if err != nil {
+			return err
+		}
 		for step := 0; step < cfg.Steps; step++ {
 			p.Prof.InRegion("plasticity", func() {
 				// Partner search: remote tree levels × local tree depth.
@@ -68,18 +78,10 @@ func (r *Relearn) Run(cfg Config) ([]simmpi.Result, error) {
 				// Global activity reduction (fixed-size vector).
 				p.Allreduce(activity, simmpi.Sum)
 				// Migration counts: tiny personalized exchange.
-				chunks := make([][]float64, p.Size())
-				for d := range chunks {
-					chunks[d] = []float64{float64(d), 1}
-				}
 				p.Alltoall(chunks)
 				// Direct synapse updates to the ring neighbour.
 				if p.Size() > 1 {
-					syn := make([]float64, max(n/64, 1))
-					cart, err := p.NewCart([]int{p.Size()}, []bool{true})
-					if err == nil {
-						cart.Exchange(0, 1, syn)
-					}
+					cart.Exchange(0, 1, syn, nil)
 				}
 				// Schedule sort of outgoing updates: p·log p loads.
 				p.AddLoads(int64(64 * float64(p.Size()) * (1 + logp)))

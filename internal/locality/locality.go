@@ -51,6 +51,20 @@ func NewAnalyzer() *Analyzer {
 	}
 }
 
+// Reset empties the analyzer for a new access stream while keeping what
+// it allocated: the address map's buckets, the Fenwick tree and each
+// group's sample slices. A reset analyzer returns the same distances and
+// statistics as a fresh one; a campaign that probes several problem sizes
+// reuses one analyzer instead of growing a new one per size.
+func (a *Analyzer) Reset() {
+	a.clock = 0
+	clear(a.last)
+	clear(a.bit.tree)
+	for _, g := range a.group {
+		*g = groupAccum{stack: g.stack[:0], reuse: g.reuse[:0]}
+	}
+}
+
 // Record processes one access, discarding the per-access result. It
 // satisfies trace.Recorder so an Analyzer can sit behind a BurstSampler.
 func (a *Analyzer) Record(addr uint64, group string) { a.Observe(addr, group) }
@@ -124,6 +138,9 @@ type GroupStats struct {
 func (a *Analyzer) Groups() []GroupStats {
 	out := make([]GroupStats, 0, len(a.group))
 	for name, g := range a.group {
+		if g.accesses == 0 {
+			continue // kept by Reset, not seen since
+		}
 		gs := GroupStats{
 			Group:        name,
 			Accesses:     g.accesses,

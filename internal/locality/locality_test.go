@@ -2,6 +2,7 @@ package locality
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"extrareq/internal/trace"
@@ -107,6 +108,36 @@ func TestAnalyzerGrowth(t *testing.T) {
 	}
 	if an.Accesses() != 5001 {
 		t.Errorf("Accesses = %d, want 5001", an.Accesses())
+	}
+}
+
+// TestResetForgetsGroups: after Reset, a group the new stream never
+// touches is not reported, and the stream's distances, statistics and
+// access count match a fresh analyzer's although the reset one still holds
+// a grown Fenwick tree and the old group's samples.
+func TestResetForgetsGroups(t *testing.T) {
+	an := NewAnalyzer()
+	for i := 0; i < 3000; i++ {
+		an.Observe(uint64(i%7), "old")
+	}
+	an.Reset()
+	fresh := NewAnalyzer()
+	for i := 0; i < 50; i++ {
+		addr := uint64(i % 5)
+		got, gotOK := an.Observe(addr, "new")
+		want, wantOK := fresh.Observe(addr, "new")
+		if got != want || gotOK != wantOK {
+			t.Fatalf("access %d: reset analyzer %+v/%v, fresh %+v/%v", i, got, gotOK, want, wantOK)
+		}
+	}
+	if got, want := an.Groups(), fresh.Groups(); !reflect.DeepEqual(got, want) {
+		t.Errorf("groups after Reset %+v, want %+v", got, want)
+	}
+	if _, ok := an.StackPercentile("old", 0.5); ok {
+		t.Error("StackPercentile reports the group from before Reset")
+	}
+	if an.Accesses() != 50 {
+		t.Errorf("Accesses = %d after Reset, want 50", an.Accesses())
 	}
 }
 

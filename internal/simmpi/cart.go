@@ -83,51 +83,64 @@ const ProcNull = -1
 // Shift returns the source and destination ranks for a shift by disp along
 // dim (MPI_Cart_shift semantics): dst is the rank disp steps in the
 // positive direction, src the rank the same distance in the negative
-// direction. Missing neighbors are ProcNull.
+// direction. Missing neighbors are ProcNull. Shift allocates nothing: the
+// halo exchanges call it once per message.
 func (c *Cart) Shift(dim, disp int) (src, dst int) {
 	if dim < 0 || dim >= len(c.dims) {
 		panic(fmt.Sprintf("simmpi: Shift on invalid dimension %d", dim))
 	}
-	up := append([]int(nil), c.coords...)
-	up[dim] += disp
-	down := append([]int(nil), c.coords...)
-	down[dim] -= disp
-	dst, ok := c.Rank(up)
-	if !ok {
-		dst = ProcNull
-	}
-	src, ok = c.Rank(down)
-	if !ok {
-		src = ProcNull
-	}
-	return src, dst
+	return c.neighbor(dim, -disp), c.neighbor(dim, disp)
 }
 
-// Exchange performs a halo exchange along dim: it sends data disp steps in
-// the positive direction and receives from the opposite neighbor. At a
-// non-periodic boundary the missing transfer is skipped and the returned
-// slice is nil.
-func (c *Cart) Exchange(dim, disp int, data []float64) []float64 {
-	var out []float64
+// neighbor returns the rank disp steps from this rank along dim, with
+// wraparound on a periodic dimension, or ProcNull past a non-periodic
+// boundary. It is Rank on this rank's coordinates with one of them moved:
+// in row-major order that moves the rank by the shift times the product of
+// the later extents.
+func (c *Cart) neighbor(dim, disp int) int {
+	d := c.dims[dim]
+	x := c.coords[dim] + disp
+	if c.periodic[dim] {
+		x = ((x % d) + d) % d
+	} else if x < 0 || x >= d {
+		return ProcNull
+	}
+	stride := 1
+	for _, e := range c.dims[dim+1:] {
+		stride *= e
+	}
+	return c.proc.rank + (x-c.coords[dim])*stride
+}
+
+// Exchange performs a halo exchange along dim, like MPI_Sendrecv: it sends
+// send disp steps in the positive direction and receives the opposite
+// neighbor's halo into recv, copying min(len(recv), halo length) elements;
+// a nil recv discards the halo. At a non-periodic boundary the missing
+// transfer is skipped and recv is left as it was. The caller owns both
+// buffers before and after the call. The runtime owns the wire buffers in
+// between: the received one goes back to this rank's freelist, where the
+// rank's next send picks it up, and the send and receive requests live on
+// the stack, so a steady stream of exchanges allocates nothing.
+func (c *Cart) Exchange(dim, disp int, send, recv []float64) {
+	p := c.proc
 	// Run inside an MPI region so call-path profiles attribute the halo
 	// volume to an MPI call site, as Score-P would.
-	c.proc.collective("MPI_Sendrecv", len(data), func() {
+	p.collective("MPI_Sendrecv", len(send), func() {
 		src, dst := c.Shift(dim, disp)
-		var sreq, rreq *Request
+		var sreq, rreq Request
 		if dst != ProcNull {
-			sreq = c.proc.Isend(dst, data)
+			p.isend(&sreq, dst, send)
 		}
 		if src != ProcNull {
-			rreq = c.proc.Irecv(src)
+			p.irecv(&rreq, src)
+			msg := rreq.Wait()
+			copy(recv, msg)
+			p.release(msg)
 		}
-		if rreq != nil {
-			out = rreq.Wait()
-		}
-		if sreq != nil {
+		if dst != ProcNull {
 			sreq.Wait()
 		}
 	})
-	return out
 }
 
 // DimsCreate factorizes size into ndims balanced extents, mirroring

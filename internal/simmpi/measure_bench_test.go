@@ -104,8 +104,12 @@ func BenchmarkMeasureCollectives(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureHaloExchange is the nonblocking halo pattern every
-// stencil proxy uses: post Isend/Irecv to both neighbours, then WaitAll.
+// BenchmarkMeasureHaloExchange is the hand-written nonblocking halo
+// pattern: post Isend/Irecv to both neighbours, then WaitAll, with a heap
+// Request per operation. The proxies exchange their halos through
+// Cart.Exchange instead, whose requests live on the stack and whose
+// received wire buffers go back to the freelist; BenchmarkCartExchange in
+// the root package measures that path.
 func BenchmarkMeasureHaloExchange(b *testing.B) {
 	const (
 		ranks = 8

@@ -17,9 +17,12 @@ import "fmt"
 // Request is a pending nonblocking operation.
 type Request struct {
 	proc *Proc
-	// send fields
-	dst     int
-	pending [][]float64 // wire messages not yet enqueued (fault dup/defer)
+	// send fields: wire[next:nwire] are the wire messages not yet
+	// enqueued (the payload, or under a FaultPlan nothing or the payload
+	// and a duplicate; see outgoing)
+	dst         int
+	wire        [2][]float64
+	next, nwire int
 	// recv fields
 	src    int
 	isRecv bool
@@ -33,47 +36,49 @@ type Request struct {
 // applies exactly as in Send: the message may be dropped, delayed, or
 // duplicated while the counters record one message.
 func (p *Proc) Isend(dst int, data []float64) *Request {
+	r := new(Request)
+	p.isend(r, dst, data)
+	return r
+}
+
+// isend starts the send into r, which the caller may hold on its stack
+// (Cart.Exchange does): no path through isend or Wait retains r.
+func (p *Proc) isend(r *Request, dst int, data []float64) {
 	if dst < 0 || dst >= p.size {
 		panic(fmt.Sprintf("simmpi: Isend to invalid rank %d (size %d)", dst, p.size))
 	}
 	p.commEvent()
 	msg := p.clone(data)
 	p.countSend(dst, "isend", int64(len(msg)*bytesPerElem))
-	r := &Request{proc: p, dst: dst}
+	*r = Request{proc: p, dst: dst}
+	r.wire, r.nwire = p.outgoing(dst, msg)
 	ch := p.world.pair(p.rank, dst)
-	if p.faults == nil {
-		// Healthy fast path: one eager enqueue attempt, no wire-message
-		// slice — only a full channel defers the transfer to Wait.
+	for ; r.next < r.nwire; r.next++ {
 		select {
-		case ch <- msg:
-			r.done = true
-		default:
-			r.pending = [][]float64{msg}
-		}
-		return r
-	}
-	r.pending = p.outgoing(dst, msg)
-	for len(r.pending) > 0 {
-		select {
-		case ch <- r.pending[0]:
-			r.pending = r.pending[1:]
+		case ch <- r.wire[r.next]:
 		default:
 			// Channel full: the transfer completes in Wait.
-			return r
+			return
 		}
 	}
 	r.done = true
-	return r
 }
 
 // Irecv starts a nonblocking receive from src. The message is delivered by
 // Wait.
 func (p *Proc) Irecv(src int) *Request {
+	r := new(Request)
+	p.irecv(r, src)
+	return r
+}
+
+// irecv starts the receive into r; like isend it does not retain r.
+func (p *Proc) irecv(r *Request, src int) {
 	if src < 0 || src >= p.size {
 		panic(fmt.Sprintf("simmpi: Irecv from invalid rank %d (size %d)", src, p.size))
 	}
 	p.commEvent()
-	return &Request{proc: p, src: src, isRecv: true}
+	*r = Request{proc: p, src: src, isRecv: true}
 }
 
 // Wait completes the operation. For receives it returns the message; for
@@ -94,11 +99,10 @@ func (r *Request) Wait() []float64 {
 		return msg
 	}
 	ch := p.world.pair(p.rank, r.dst)
-	for len(r.pending) > 0 {
+	for ; r.next < r.nwire; r.next++ {
 		p.checkCancel()
 		select {
-		case ch <- r.pending[0]:
-			r.pending = r.pending[1:]
+		case ch <- r.wire[r.next]:
 		case <-p.world.cancel:
 			panic(cancelPanic{})
 		}

@@ -467,15 +467,9 @@ func (p *Proc) Send(dst int, data []float64) {
 	}
 	p.checkCancel()
 	p.commEvent()
-	msg := p.clone(data)
-	if p.faults == nil {
-		// Healthy fast path: one pooled buffer, one eager enqueue attempt
-		// before falling back to the cancellable blocking send.
-		p.sendWire(dst, msg)
-	} else {
-		for _, m := range p.outgoing(dst, msg) {
-			p.sendWire(dst, m)
-		}
+	wire, n := p.outgoing(dst, p.clone(data))
+	for _, m := range wire[:n] {
+		p.sendWire(dst, m)
 	}
 	p.countSend(dst, "", int64(len(data)*bytesPerElem))
 }
@@ -507,14 +501,16 @@ func (p *Proc) sendWire(dst int, m []float64) {
 }
 
 // outgoing applies the rank's fault state to one outbound payload and
-// returns the wire messages to enqueue: the payload itself, nothing (drop,
-// with the buffer recycled), or the payload plus an aliasing-safe
-// duplicate. An injected delay sleeps here, before any delivery. Injected
-// faults are recorded in the rank's trace so a hung or noisy run can be
-// diagnosed from the event stream.
-func (p *Proc) outgoing(dst int, msg []float64) [][]float64 {
+// returns the wire messages to enqueue, wire[:n]: the payload itself,
+// nothing (drop, with the buffer recycled), or the payload plus an
+// aliasing-safe duplicate. Returning them in an array keeps every send
+// path, healthy or not, free of a per-message slice. An injected delay
+// sleeps here, before any delivery. Injected faults are recorded in the
+// rank's trace so a hung or noisy run can be diagnosed from the event
+// stream.
+func (p *Proc) outgoing(dst int, msg []float64) (wire [2][]float64, n int) {
 	if p.faults == nil {
-		return [][]float64{msg}
+		return [2][]float64{msg}, 1
 	}
 	fate, delay := p.faults.fate()
 	nbytes := int64(len(msg) * bytesPerElem)
@@ -526,12 +522,12 @@ func (p *Proc) outgoing(dst int, msg []float64) [][]float64 {
 	case fateDrop:
 		p.emit(obs.KindFault, "drop", dst, nbytes)
 		p.release(msg)
-		return nil
+		return wire, 0
 	case fateDup:
 		p.emit(obs.KindFault, "dup", dst, nbytes)
-		return [][]float64{msg, p.clone(msg)}
+		return [2][]float64{msg, p.clone(msg)}, 2
 	default:
-		return [][]float64{msg}
+		return [2][]float64{msg}, 1
 	}
 }
 
@@ -547,6 +543,17 @@ func (p *Proc) Recv(src int) []float64 {
 	msg := p.recvWire(src)
 	p.countRecv(src, "", int64(len(msg)*bytesPerElem))
 	return msg
+}
+
+// RecvInto receives the next message from rank src into buf, like an
+// MPI_Recv into a user buffer: it copies min(len(buf), message length)
+// elements and counts the message exactly as Recv does. The wire buffer
+// goes back to this rank's freelist, so a rank that receives and forwards
+// a face every step (Kripke's sweep) allocates none after its first.
+func (p *Proc) RecvInto(src int, buf []float64) {
+	msg := p.Recv(src)
+	copy(buf, msg)
+	p.release(msg)
 }
 
 // recvWire dequeues the next wire message from src. A message already

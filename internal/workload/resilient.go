@@ -466,18 +466,24 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 	// subject to injected faults (the paper measured them on a separate
 	// system, §III). Only problem sizes that still need measurement are
 	// probed — a fully prefilled n carries its stack distance inside the
-	// cached samples.
+	// cached samples — each once, however often the grid repeats it, and
+	// all through one analyzer.
 	neededN := map[int]bool{}
 	for _, i := range missing {
 		neededN[configs[i][1]] = true
 	}
 	stackByN := map[int]float64{}
+	var an *locality.Analyzer
 	for _, n := range grid.Ns {
 		if !neededN[n] {
 			continue
 		}
-		an := locality.NewAnalyzer()
-		an.MaxSamplesPerGroup = probeCap
+		neededN[n] = false
+		if an == nil {
+			an = locality.NewAnalyzer()
+			an.MaxSamplesPerGroup = probeCap
+		}
+		an.Reset()
 		r.App.LocalityProbe(n, an)
 		groups := locality.FilterGroups(an.Groups(), locality.DefaultMinSamples)
 		stackByN[n] = locality.MedianStackDistance(groups)

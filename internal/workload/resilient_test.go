@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,17 @@ func (ringApp) LocalityProbe(n int, rec trace.Recorder) {
 }
 
 var _ apps.App = ringApp{}
+
+// probeCounter is ringApp with its locality probes counted per n.
+type probeCounter struct {
+	ringApp
+	probes map[int]int
+}
+
+func (a *probeCounter) LocalityProbe(n int, rec trace.Recorder) {
+	a.probes[n]++
+	a.ringApp.LocalityProbe(n, rec)
+}
 
 // noSleep makes retry backoff free in tests.
 func noSleep(time.Duration) {}
@@ -300,5 +312,19 @@ func TestResilientHealthySystemNoOverhead(t *testing.T) {
 	}
 	if report.Degraded() || report.ExtraRuns != 0 || report.Recovered != 0 {
 		t.Errorf("healthy campaign report is not clean: %+v", report)
+	}
+}
+
+// TestResilientRunnerProbesEachNOnce: a grid that repeats a problem size
+// probes it once, so Ns [64, 64, 128] makes two locality probes, not
+// three.
+func TestResilientRunnerProbesEachNOnce(t *testing.T) {
+	app := &probeCounter{probes: map[int]int{}}
+	r := &ResilientRunner{App: app, Workers: 2}
+	if _, _, err := r.Run(context.Background(), Grid{Procs: []int{2, 4}, Ns: []int{64, 64, 128}, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int]int{64: 1, 128: 1}; !reflect.DeepEqual(app.probes, want) {
+		t.Errorf("probes per n = %v, want %v", app.probes, want)
 	}
 }

@@ -50,6 +50,14 @@ go test -race -count=1 \
     -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic|TestAdaptivePins|TestAdaptiveOneRunPerRound' \
     ./internal/adaptive/
 
+# Arithmetic pin: each proxy stores only the elements its sampled kernels
+# touch, and must still evaluate its kernels as often, on the same values,
+# as when it strode through full-length arrays. touch reports its calls
+# only in builds with -tags touchpin (other builds compile the report away
+# so touch stays inlinable), so the suite above skips the pin.
+echo "== touch arithmetic pin (-tags touchpin) =="
+go test -race -count=1 -tags touchpin -run 'TestTouchEvaluationsPinned' ./internal/apps/
+
 # Bench smoke: one iteration of every Measure* benchmark, so a change that
 # breaks the hot-path or cache benches fails the gate without paying for a
 # full benchmark run.
@@ -58,16 +66,17 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 
 # Perf trajectory: run the paired fitting benchmarks (optimized vs reference
 # cvScore path), the end-to-end fitting pipeline, the campaign cache round
-# trip, the simulated runs themselves (the five proxies and a 64-rank
-# allreduce, whose allocs/op track the measurement hot path) and the main
-# collectives at 16 and 32 ranks, and record them as BENCH_<pr>.json via
-# cmd/benchjson. The file is committed with each PR and uploaded as a CI
-# artifact, so performance across the repo's history is comparable without
-# re-running old revisions. BENCH_PR stamps the PR number; BENCH_TIME trades
-# gate time for measurement stability. Every benchmark runs five times
-# (-count=5) and cmd/benchjson records the median with its min/max: a
-# single run drifted with the host by as much as 43% between records.
-BENCH_PR=${BENCH_PR:-23}
+# trip, the simulated runs themselves (the five proxies, a 64-rank
+# allreduce and a 16-rank Cart halo exchange, whose allocs/op track the
+# measurement hot path) and the main collectives at 16 and 32 ranks, and
+# record them as BENCH_<pr>.json via cmd/benchjson. The file is committed
+# with each PR and uploaded as a CI artifact, so performance across the
+# repo's history is comparable without re-running old revisions. BENCH_PR
+# stamps the PR number; BENCH_TIME trades gate time for measurement
+# stability. Every benchmark runs five times (-count=5) and cmd/benchjson
+# records the median with its min/max: a single run drifted with the host
+# by as much as 43% between records.
+BENCH_PR=${BENCH_PR:-24}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count 5) =="
 {
@@ -75,7 +84,7 @@ echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count
         -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/modeling/
     go test -run=NONE -bench='BenchmarkFitPipeline' \
         -count=5 -benchmem -benchtime="${BENCH_TIME}" .
-    go test -run=NONE -bench='BenchmarkProxyAppStep|BenchmarkSimMPIAllreduce' \
+    go test -run=NONE -bench='BenchmarkProxyAppStep|BenchmarkSimMPIAllreduce|BenchmarkCartExchange' \
         -count=5 -benchmem -benchtime="${BENCH_TIME}" .
     go test -run=NONE -bench='BenchmarkMeasureCollectives' \
         -count=5 -benchmem -benchtime="${BENCH_TIME}" ./internal/simmpi/

@@ -17,7 +17,11 @@
 // point entries are the record. Because ComputePointKey excludes the grid
 // axes, they are the same cache entries a fixed-grid campaign of the same
 // spec would write — a fleet mixing adaptive and fixed-grid campaigns over
-// one store converges together, measuring each point at most once.
+// one store converges together, measuring each point at most once. The
+// whole refinement loop is memoized by the scheduler (Runner.Memo) under
+// the adaptive key, so a repeat is served from that campaign entry and
+// counted like a fixed-grid hit; the entry records the selection, not why
+// the loop stopped, so a repeat reports no stop reason.
 //
 // Determinism: the seed, the scores, the tie-breaks, and the stopping rule
 // are all pure functions of the request and the (deterministic) measured
@@ -92,13 +96,13 @@ func (o Options) defaults(fullGrid int) Options {
 }
 
 // Runner is the scheduler surface the engine needs: point-set measurement
-// with the full point-cache machinery, plus lookup/publish of the
-// campaign-level entry for the adaptive key. *campaign.Scheduler
-// implements it, and so does the serve layer's Runner.
+// with the full point-cache machinery, and memoization of the whole run
+// under the adaptive key. *campaign.Scheduler implements it, and so does
+// the serve layer's Runner.
 type Runner interface {
 	Run(ctx context.Context, req campaign.Request) (*campaign.Outcome, error)
-	Lookup(ctx context.Context, key campaign.Key) ([]byte, bool)
-	PutEntry(ctx context.Context, key campaign.Key, data []byte) error
+	Memo(ctx context.Context, req campaign.Request, key campaign.Key,
+		run func(context.Context) (*campaign.Outcome, error)) (*campaign.Outcome, error)
 }
 
 // Result is a finished adaptive campaign: the outcome of the selection and
@@ -108,17 +112,20 @@ type Runner interface {
 // adaptive campaign key (the fixed-grid key of the seed spec salted with
 // the resolved adaptive options), PointsReused and PointsMeasured split
 // the selection by assembly path, and CacheHit reports that nothing was
-// measured. Body stays nil.
+// measured. Body is set, and shared, only when the run was served from
+// its campaign entry.
 type Result struct {
 	campaign.Outcome
 	// PointsSaved counts full-grid configurations never selected at all.
 	PointsSaved int
 	// FullGridPoints is the size of the requested grid.
 	FullGridPoints int
-	// Rounds counts fits over the measured set (0 for a cache hit).
+	// Rounds counts fits over the measured set; 0 when the run was served
+	// from its campaign entry.
 	Rounds int
 	// Converged reports the run stopped on the stability rule rather than
-	// the point budget (cache hits report true).
+	// the point budget. The campaign entry does not record why the run
+	// stopped, so a run served from it reports false, with Rounds 0.
 	Converged bool
 }
 
@@ -191,31 +198,39 @@ type engine struct {
 
 func (e *engine) run(ctx context.Context) (*Result, error) {
 	// Byte-identical repeats come straight from the adaptive campaign
-	// entry, exactly like fixed-grid repeats.
-	if data, ok := e.r.Lookup(ctx, e.key); ok {
-		if c, rep, err := campaign.Decode(e.key, data); err == nil {
-			e.ad.CacheHit()
-			sel := rep.Configs
-			if e.req.Progress != nil {
-				e.req.Progress(sel, e.full)
-			}
-			if e.req.PointProgress != nil {
-				e.req.PointProgress(sel, 0)
-			}
-			return &Result{
-				Outcome: campaign.Outcome{Campaign: c, Report: rep, Key: e.key,
-					CacheHit: true, PointsReused: sel},
-				PointsSaved: e.full - sel, FullGridPoints: e.full, Converged: true,
-			}, nil
-		}
+	// entry, exactly like fixed-grid repeats. A hit reports the selection
+	// done out of the full grid, whose size counts distinct axis values.
+	req := e.req
+	if req.Progress != nil {
+		req.Progress = func(done, _ int) { e.req.Progress(done, e.full) }
 	}
+	var res *Result
+	out, err := e.r.Memo(ctx, req, e.key, func(ctx context.Context) (*campaign.Outcome, error) {
+		var err error
+		if res, err = e.refine(ctx); err != nil {
+			return nil, err
+		}
+		return &res.Outcome, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res == nil {
+		e.ad.CacheHit.Inc()
+		res = &Result{Outcome: *out, PointsSaved: e.full - out.Report.Configs, FullGridPoints: e.full}
+	}
+	return res, nil
+}
 
+// refine runs the refinement loop: the seed lines, then batches until the
+// models are stable or the budget is spent.
+func (e *engine) refine(ctx context.Context) (*Result, error) {
 	if err := e.measure(ctx, e.seedPoints()); err != nil {
 		return nil, err
 	}
 	fitPrev, errPrev := e.fit()
 	e.rounds++
-	e.ad.Round()
+	e.ad.Rounds.Inc()
 
 	stable := 0
 	for {
@@ -234,7 +249,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		}
 		fitCur, errCur := e.fit()
 		e.rounds++
-		e.ad.Round()
+		e.ad.Rounds.Inc()
 		if errPrev == nil && errCur == nil &&
 			sameModels(fitPrev, fitCur) && maxImprovement(fitPrev, fitCur) < e.opts.Improvement {
 			stable++
@@ -247,12 +262,12 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 			break
 		}
 	}
-	return e.finish(ctx)
+	return e.finish()
 }
 
 // finish assembles the campaign + report from the per-point records in
-// canonical grid order and publishes the adaptive campaign entry.
-func (e *engine) finish(ctx context.Context) (*Result, error) {
+// canonical grid order.
+func (e *engine) finish() (*Result, error) {
 	pts := e.selectedPoints()
 	samples := make([]workload.Sample, len(pts))
 	outcomes := make([]workload.ConfigOutcome, len(pts))
@@ -274,17 +289,11 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 		Converged:      e.converged,
 	}
 	if e.converged {
-		e.ad.Converged()
+		e.ad.Converged.Inc()
 	} else {
-		e.ad.BudgetStop()
+		e.ad.BudgetStop.Inc()
 	}
-	e.ad.Saved(res.PointsSaved)
-	// Publish the finished run under the adaptive key so repeats are
-	// byte-identical cache hits. Best-effort like every cache write: a
-	// degraded store must not fail a measured campaign.
-	if data, err := campaign.EncodeEntry(e.key, e.req.App.Name(), c, rep); err == nil {
-		_ = e.r.PutEntry(ctx, e.key, data)
-	}
+	e.ad.PointsSaved.Add(int64(res.PointsSaved))
 	return res, nil
 }
 
@@ -374,7 +383,8 @@ func (e *engine) measure(ctx context.Context, pts [][2]int) error {
 	}
 	e.reused += out.PointsReused
 	e.measured += out.PointsMeasured
-	e.ad.Points(out.PointsReused, out.PointsMeasured)
+	e.ad.PointsReused.Add(int64(out.PointsReused))
+	e.ad.PointsMeasured.Add(int64(out.PointsMeasured))
 	return nil
 }
 

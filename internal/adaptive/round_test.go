@@ -5,10 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"extrareq/internal/campaign"
+	"extrareq/internal/obs"
 	"extrareq/internal/simmpi"
 )
 
@@ -68,7 +71,8 @@ func (s *countingStore) Store(ctx context.Context, k campaign.Key, data []byte) 
 
 // Each round is one point-set request: on the 4×4 grid the seed lines and
 // the one batch take two Run calls, the store takes one write per measured
-// point plus the adaptive entry, and no round counts as a campaign lookup.
+// point plus the adaptive entry, and no round counts as a campaign lookup:
+// the one miss is the adaptive entry's own.
 func TestAdaptiveOneRunPerRound(t *testing.T) {
 	disk, err := campaign.OpenDiskStore(t.TempDir())
 	if err != nil {
@@ -88,8 +92,90 @@ func TestAdaptiveOneRunPerRound(t *testing.T) {
 		t.Errorf("store took %d writes, want %d: %d measured points plus the adaptive entry",
 			got, want, res.PointsMeasured)
 	}
-	if st := r.Stats(); st.Hits+st.Misses != 0 {
-		t.Errorf("rounds counted %d campaign hits and %d misses, want none", st.Hits, st.Misses)
+	if st := r.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("counted %d campaign hits and %d misses, want 0 and 1, the adaptive entry's lookup", st.Hits, st.Misses)
+	}
+}
+
+// The adaptive entry's traffic is counted like a fixed-grid campaign's: a
+// cold run misses once and writes the entry, and a warm run on a fresh
+// scheduler over the same directory hits once, loads only the entry, and
+// returns the cold run's bytes with the body a hit serves. The grid
+// repeats an axis value, so the full grid that progress reports against
+// (distinct values only) is smaller than the product of the axis lengths.
+func TestAdaptiveEntryCounted(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	grid := testGrid()
+	grid.Ns = append(grid.Ns, grid.Ns[1])
+	var done, total int
+	run := func() (*Result, campaign.Stats, map[string]int64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		s := newScheduler(t, campaign.Options{Workers: 4, Dir: dir})
+		req := campaign.Request{App: testApp(t), Grid: grid, Metrics: reg,
+			Progress: func(d, tot int) { done, total = d, tot }}
+		res, err := Run(ctx, s, req, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.Stats(), reg.Snapshot().Counters
+	}
+
+	cold, st, c := run()
+	entry := encodeResult(t, cold)
+	if st.Hits != 0 || st.Misses != 1 || c[campaign.MetricCacheHit] != 0 || c[campaign.MetricCacheMiss] != 1 {
+		t.Errorf("cold run counted %d/%d hits and %d/%d misses (stats/registry), want 0 and 1",
+			st.Hits, c[campaign.MetricCacheHit], st.Misses, c[campaign.MetricCacheMiss])
+	}
+	if stored, err := os.ReadFile(filepath.Join(dir, cold.Key.String()+".json")); err != nil || !bytes.Equal(stored, entry) {
+		t.Errorf("adaptive entry not stored as the result's bytes (err %v)", err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written int64
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += info.Size()
+	}
+	if st.Bytes != written || c[campaign.MetricCacheBytes] != written {
+		t.Errorf("cold run counted %d/%d bytes (stats/registry), want %d: its points plus its entry",
+			st.Bytes, c[campaign.MetricCacheBytes], written)
+	}
+
+	warm, st, c := run()
+	if st.Hits != 1 || st.Misses != 0 || c[campaign.MetricCacheHit] != 1 || c[campaign.MetricCacheMiss] != 0 {
+		t.Errorf("warm run counted %d/%d hits and %d/%d misses (stats/registry), want 1 and 0",
+			st.Hits, c[campaign.MetricCacheHit], st.Misses, c[campaign.MetricCacheMiss])
+	}
+	if want := int64(len(entry)); st.Bytes != want || c[campaign.MetricCacheBytes] != want {
+		t.Errorf("warm run counted %d/%d bytes (stats/registry), want the entry's %d",
+			st.Bytes, c[campaign.MetricCacheBytes], want)
+	}
+	if got := c[obs.MetricAdaptiveCacheHit]; got != 1 {
+		t.Errorf("%s = %d, want 1", obs.MetricAdaptiveCacheHit, got)
+	}
+	if !bytes.Equal(encodeResult(t, warm), entry) {
+		t.Error("warm result differs from the cold one")
+	}
+	if !warm.CacheHit || warm.Rounds != 0 || warm.Converged || warm.PointsMeasured != 0 ||
+		warm.PointsReused != cold.Report.Configs || warm.PointsSaved != cold.PointsSaved {
+		t.Errorf("warm result: cache hit %v, %d rounds, converged %v, %d measured, %d reused, %d saved; "+
+			"want a hit in 0 rounds, not converged, 0 measured, %d reused, %d saved",
+			warm.CacheHit, warm.Rounds, warm.Converged, warm.PointsMeasured, warm.PointsReused, warm.PointsSaved,
+			cold.Report.Configs, cold.PointsSaved)
+	}
+	if body, err := campaign.EncodeOutcome(&warm.Outcome); err != nil || !bytes.Equal(warm.Body, body) {
+		t.Errorf("warm result's body is not its encoded outcome (err %v)", err)
+	}
+	if done != cold.Report.Configs || total != 16 || warm.FullGridPoints != 16 {
+		t.Errorf("warm run reported progress %d of %d over a full grid of %d, want %d of 16",
+			done, total, warm.FullGridPoints, cold.Report.Configs)
 	}
 }
 

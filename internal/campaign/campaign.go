@@ -124,10 +124,10 @@ type Outcome struct {
 	// grid as reused.
 	PointsReused   int
 	PointsMeasured int
-	// Body is EncodeOutcome of this outcome. Run sets it on campaign-entry
-	// hits, where the memory tier encoded it once for every hit on the
-	// entry, so it is shared: callers must not write to it. Misses leave
-	// it nil.
+	// Body is EncodeOutcome of this outcome. Run and Memo set it on
+	// campaign-entry hits, where the memory tier encoded it once for every
+	// hit on the entry, so it is shared: callers must not write to it.
+	// Misses leave it nil.
 	Body []byte
 }
 
@@ -152,8 +152,9 @@ type OutcomeBody struct {
 }
 
 // EncodeOutcome marshals out as an OutcomeBody. Servers build it once per
-// flight and hand every coalesced waiter the same slice; Run builds it once
-// per memory-tier entry for campaign-entry hits (Outcome.Body).
+// flight and hand every coalesced waiter the same slice; the scheduler
+// builds it once per memory-tier entry for campaign-entry hits
+// (Outcome.Body).
 func EncodeOutcome(out *Outcome) ([]byte, error) {
 	app := ""
 	if out.Campaign != nil {
@@ -208,7 +209,7 @@ type Options struct {
 // independently of any obs.Registry so tests and CLI summaries work
 // without one.
 type Stats struct {
-	// Hits / Misses count campaign-level entry lookups in Run.
+	// Hits / Misses count campaign-level entry lookups in Run and Memo.
 	Hits   int64
 	Misses int64
 	// PointHits / PointMisses count per-point lookups on the assembly path
@@ -409,18 +410,19 @@ func (s *Scheduler) storeWrite(ctx context.Context, key Key, data []byte, cm cac
 	if err := s.store.Store(ctx, key, data); err != nil {
 		if s.writeDown.CompareAndSwap(false, true) {
 			s.diskErrs.Add(1)
-			cm.addDiskError()
+			cm.diskErr.Inc()
 			s.logf("campaign: cache store write failed, degrading to memory-only writes (reads stay live): %v", err)
 		}
 		return
 	}
 	s.bytes.Add(int64(len(data)))
-	cm.addBytes(int64(len(data)))
+	cm.bytes.Add(int64(len(data)))
 }
 
 // Run measures one campaign, serving it from cache when an identical one
 // has been measured before, and assembling it from per-point entries when
-// only parts of it have: after a campaign-level miss, every (p, n)
+// only parts of it have: a fixed-grid request is Memo over its
+// ComputeKey, and after a campaign-level miss every (p, n)
 // configuration is looked up under its own content address
 // (ComputePointKey), cached points are slotted in without running
 // anything, and only the missing points are measured on the shared pool
@@ -440,6 +442,29 @@ func (s *Scheduler) storeWrite(ctx context.Context, key Key, data []byte, cm cac
 // to the store for the rest of its life — reads keep serving the entries
 // already there, and the measured outcome is served normally.
 func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
+	if req.Points == nil {
+		key := ComputeKey(req)
+		return s.Memo(ctx, req, key, func(ctx context.Context) (*Outcome, error) {
+			return s.measure(ctx, req, key)
+		})
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if s.pool.closed() {
+		return nil, ErrClosed
+	}
+	return s.measure(ctx, req, Key{})
+}
+
+// Memo answers req from the campaign entry under key — memory first, then
+// the store — and otherwise calls run, stores the campaign it returns
+// under key, and returns its outcome. Hits, misses and bytes are counted
+// in Stats and req.Metrics; a failed run stores nothing. A hit reports
+// the entry's configurations done and reused through req's progress
+// callbacks, out of req's grid, and carries the shared Body. The adaptive
+// engine memoizes its refinement loop this way under the adaptive key.
+func (s *Scheduler) Memo(ctx context.Context, req Request, key Key, run func(context.Context) (*Outcome, error)) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -447,16 +472,30 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 		return nil, ErrClosed
 	}
 	cm := newCacheMetrics(req.Metrics)
-	var key Key
-	if req.Points == nil {
-		key = ComputeKey(req)
-		if out := s.cached(ctx, req, key, cm); out != nil {
-			return out, nil
-		}
-		s.misses.Add(1)
-		cm.addMiss()
+	if out := s.cached(ctx, req, key, cm); out != nil {
+		return out, nil
 	}
+	s.misses.Add(1)
+	cm.miss.Inc()
+	out, err := run(ctx)
+	if err != nil {
+		return out, err
+	}
+	data, err := EncodeEntry(key, appName(req.App), out.Campaign, out.Report)
+	if err != nil {
+		// Campaigns are plain data; this cannot happen. Degrade loudly.
+		return out, err
+	}
+	s.mem.put(key, data)
+	s.storeWrite(ctx, key, data, cm)
+	return out, nil
+}
 
+// measure runs req through the point path: prefill from the point cache,
+// measure the rest on the shared pool, publish each measured point. key
+// is the outcome's campaign key, zero for a point-set request.
+func (s *Scheduler) measure(ctx context.Context, req Request, key Key) (*Outcome, error) {
+	cm := newCacheMetrics(req.Metrics)
 	// Counting and reporting a point is one step under pointMu, so
 	// PointProgress never sees a count go backwards.
 	var pointMu sync.Mutex
@@ -500,30 +539,19 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	// Nothing measured means the whole grid came from cache — the
 	// campaign key was cold but every point was warm.
 	outcome.CacheHit = outcome.PointsMeasured == 0
-	if req.Points != nil {
-		return outcome, nil // the point entries are the record
-	}
-	data, err := EncodeEntry(key, req.App.Name(), c, rep)
-	if err != nil {
-		// Campaigns are plain data; this cannot happen. Degrade loudly.
-		return outcome, err
-	}
-	s.mem.put(key, data)
-	s.storeWrite(ctx, key, data, cm)
 	return outcome, nil
 }
 
 // cached serves req from its campaign entry — memory first, then the
 // store — or returns nil on a miss.
 func (s *Scheduler) cached(ctx context.Context, req Request, key Key, cm cacheMetrics) *Outcome {
-	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
 	if data, h, ok := s.mem.getHit(key); ok {
 		if h == nil {
 			// The first memory hit on bytes a miss or PutEntry put decodes
 			// them for every later hit. An undecodable in-memory entry
 			// cannot normally happen (we only store bytes we encoded or
 			// validated); it falls through and is remeasured.
-			if h, _ = decodeHit(key, data, gridPoints); h != nil {
+			if h, _ = decodeHit(key, data); h != nil {
 				h = s.mem.attach(key, data, h)
 			}
 		}
@@ -533,9 +561,9 @@ func (s *Scheduler) cached(ctx context.Context, req Request, key Key, cm cacheMe
 	}
 	if s.store != nil {
 		if data, ok := s.store.Load(ctx, key); ok {
-			if h, err := decodeHit(key, data, gridPoints); err == nil {
+			if h, err := decodeHit(key, data); err == nil {
 				s.bytes.Add(int64(len(data)))
-				cm.addBytes(int64(len(data)))
+				cm.bytes.Add(int64(len(data)))
 				return s.hit(req, key, s.mem.putHit(key, data, h), cm)
 			}
 			// Corrupt stored entry: treat as a miss; the fresh result
@@ -547,27 +575,32 @@ func (s *Scheduler) cached(ctx context.Context, req Request, key Key, cm cacheMe
 
 // decodeHit decodes a campaign entry into the memory tier's form of it:
 // the tier's private campaign and report, and the response body of a hit
-// on them, which reports the whole grid of gridPoints configurations as
-// reused.
-func decodeHit(key Key, data []byte, gridPoints int) (*hitForm, error) {
+// on them, which reports every configuration of the report as reused —
+// the grid of a fixed-grid entry, the selection of an adaptive one.
+func decodeHit(key Key, data []byte) (*hitForm, error) {
 	c, rep, err := Decode(key, data)
 	if err != nil {
 		return nil, err
 	}
-	h := &hitForm{campaign: c, report: rep, reused: gridPoints}
+	h := &hitForm{campaign: c, report: rep, reused: rep.Configs}
 	if h.body, err = EncodeOutcome(h.outcome(key, c, rep)); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// hit counts a campaign-entry hit, reports the whole grid done and reused,
-// and hands the caller fresh clones of the tier's objects together with
-// the shared body.
+// hit counts a campaign-entry hit, reports the entry's configurations
+// done and reused in one callback each, and hands the caller fresh clones
+// of the tier's objects together with the shared body.
 func (s *Scheduler) hit(req Request, key Key, h *hitForm, cm cacheMetrics) *Outcome {
 	s.hits.Add(1)
-	cm.addHit()
-	reportAllDone(req)
+	cm.hit.Inc()
+	if req.Progress != nil {
+		req.Progress(h.reused, len(req.Grid.Procs)*len(req.Grid.Ns))
+	}
+	if req.PointProgress != nil {
+		req.PointProgress(h.reused, 0)
+	}
 	out := h.outcome(key, h.campaign.Clone(), h.report.Clone())
 	out.Body = h.body
 	return out
@@ -591,15 +624,15 @@ func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, cm cac
 			if fromStore {
 				s.pmem.put(pk, data)
 				s.bytes.Add(int64(len(data)))
-				cm.addBytes(int64(len(data)))
+				cm.bytes.Add(int64(len(data)))
 			}
 			s.pointHits.Add(1)
-			cm.addPointHit()
+			cm.pointHit.Inc()
 			return sm, out, true
 		}
 	}
 	s.pointMiss.Add(1)
-	cm.addPointMiss()
+	cm.pointMiss.Inc()
 	return workload.Sample{}, workload.ConfigOutcome{}, false
 }
 
@@ -614,18 +647,6 @@ func (s *Scheduler) publishPoint(ctx context.Context, req Request, sm workload.S
 	}
 	s.pmem.put(pk, data)
 	s.storeWrite(ctx, pk, data, cm)
-}
-
-// reportAllDone mirrors a fresh run's progress stream for a cache hit: the
-// whole grid is done (and reused) in one callback.
-func reportAllDone(req Request) {
-	total := len(req.Grid.Procs) * len(req.Grid.Ns)
-	if req.Progress != nil {
-		req.Progress(total, total)
-	}
-	if req.PointProgress != nil {
-		req.PointProgress(total, 0)
-	}
 }
 
 // exec adapts the shared pool to a single campaign's ExecFunc. Submission
@@ -660,15 +681,12 @@ func (s *Scheduler) exec(ctx context.Context) workload.ExecFunc {
 }
 
 // cacheMetrics resolves the cache counters once per request; without a
-// registry every field stays nil and the add methods are no-ops.
+// registry every counter is nil and its updates do nothing.
 type cacheMetrics struct {
 	hit, miss, pointHit, pointMiss, bytes, diskErr *obs.Counter
 }
 
 func newCacheMetrics(reg *obs.Registry) cacheMetrics {
-	if reg == nil {
-		return cacheMetrics{}
-	}
 	return cacheMetrics{
 		hit:       reg.Counter(MetricCacheHit),
 		miss:      reg.Counter(MetricCacheMiss),
@@ -676,42 +694,6 @@ func newCacheMetrics(reg *obs.Registry) cacheMetrics {
 		pointMiss: reg.Counter(MetricCachePointMiss),
 		bytes:     reg.Counter(MetricCacheBytes),
 		diskErr:   reg.Counter(MetricCacheDiskError),
-	}
-}
-
-func (m cacheMetrics) addHit() {
-	if m.hit != nil {
-		m.hit.Add(1)
-	}
-}
-
-func (m cacheMetrics) addMiss() {
-	if m.miss != nil {
-		m.miss.Add(1)
-	}
-}
-
-func (m cacheMetrics) addPointHit() {
-	if m.pointHit != nil {
-		m.pointHit.Add(1)
-	}
-}
-
-func (m cacheMetrics) addPointMiss() {
-	if m.pointMiss != nil {
-		m.pointMiss.Add(1)
-	}
-}
-
-func (m cacheMetrics) addBytes(n int64) {
-	if m.bytes != nil {
-		m.bytes.Add(n)
-	}
-}
-
-func (m cacheMetrics) addDiskError() {
-	if m.diskErr != nil {
-		m.diskErr.Add(1)
 	}
 }
 

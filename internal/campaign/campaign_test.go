@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -242,6 +243,8 @@ func TestCorruptDiskEntryIsMiss(t *testing.T) {
 		"wrongkey":  []byte(`{"version":1,"key":"deadbeef","app":"Kripke","campaign":{},"report":{}}`),
 		"oldversion": []byte(`{"version":0,"key":"` + key.String() +
 			`","app":"Kripke","campaign":{},"report":{}}`),
+		"miscounted": []byte(`{"version":` + strconv.Itoa(KeyVersion) + `,"key":"` + key.String() +
+			`","app":"Kripke","campaign":{},"report":{"configs":999}}`),
 	} {
 		t.Run(name, func(t *testing.T) {
 			// A fresh dir per subtest: each one must exercise the

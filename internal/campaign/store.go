@@ -90,9 +90,8 @@ type entry struct {
 
 // EncodeEntry marshals a campaign + report into the cache entry
 // representation under key — the exact bytes Decode and ValidateEntry
-// accept. Scheduler.Run stores its finished campaigns this way, and the
-// adaptive engine, which assembles campaigns outside Run, publishes its
-// results through PutEntry in the same form.
+// accept. Scheduler.Memo stores every finished campaign this way,
+// fixed-grid and adaptive alike.
 func EncodeEntry(key Key, app string, c *workload.Campaign, rep *workload.CampaignReport) ([]byte, error) {
 	return json.Marshal(&entry{
 		Version:  KeyVersion,
@@ -174,6 +173,12 @@ func Decode(key Key, data []byte) (*workload.Campaign, *workload.CampaignReport,
 	}
 	if e.Campaign == nil || e.Report == nil {
 		return nil, nil, fmt.Errorf("campaign: cache entry missing campaign or report")
+	}
+	// A hit reports Configs as the configurations it reused, so a peer's
+	// entry must not be able to claim more (or fewer) than it lists.
+	if e.Report.Configs != len(e.Report.Outcomes) {
+		return nil, nil, fmt.Errorf("campaign: cache entry reports %d configurations but lists %d outcomes",
+			e.Report.Configs, len(e.Report.Outcomes))
 	}
 	return e.Campaign, e.Report, nil
 }

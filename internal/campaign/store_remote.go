@@ -183,25 +183,25 @@ func (s *RemoteStore) BreakerOpen() bool { return s.br.open() }
 // failed campaign.
 func (s *RemoteStore) Load(ctx context.Context, k Key) ([]byte, bool) {
 	if !s.br.allow() {
-		s.metrics.Miss()
+		s.metrics.Miss.Inc()
 		return nil, false
 	}
 	start := time.Now()
 	data, found, err := s.do(ctx, k, nil)
-	s.metrics.ObserveLatency(time.Since(start).Seconds())
+	s.metrics.Seconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.br.failure()
-		s.metrics.Error()
-		s.metrics.Miss()
+		s.metrics.Error.Inc()
+		s.metrics.Miss.Inc()
 		return nil, false
 	}
 	s.br.success()
 	if !found {
-		s.metrics.Miss()
+		s.metrics.Miss.Inc()
 		return nil, false
 	}
 	s.markKnown(k)
-	s.metrics.Hit()
+	s.metrics.Hit.Inc()
 	return data, true
 }
 
@@ -217,16 +217,16 @@ func (s *RemoteStore) Store(ctx context.Context, k Key, data []byte) error {
 		return nil // the remote has these exact bytes; skip the body
 	}
 	if !s.br.allow() {
-		s.metrics.Dropped()
+		s.metrics.Dropped.Inc()
 		return nil
 	}
 	start := time.Now()
 	_, _, err := s.do(ctx, k, data)
-	s.metrics.ObserveLatency(time.Since(start).Seconds())
+	s.metrics.Seconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.br.failure()
-		s.metrics.Error()
-		s.metrics.Dropped()
+		s.metrics.Error.Inc()
+		s.metrics.Dropped.Inc()
 		return nil
 	}
 	s.br.success()
@@ -367,7 +367,7 @@ func (b *breaker) success() {
 	b.isOpen = false
 	b.probing = false
 	if wasOpen {
-		b.metrics.SetBreakerOpen(false)
+		b.metrics.BreakerOpen.Set(0)
 		b.logf("campaign: remote store recovered, circuit closed")
 	}
 }
@@ -389,8 +389,8 @@ func (b *breaker) failure() {
 	if b.failures >= b.threshold {
 		b.isOpen = true
 		b.openedAt = b.now()
-		b.metrics.SetBreakerOpen(true)
-		b.metrics.BreakerOpened()
+		b.metrics.BreakerOpen.Set(1)
+		b.metrics.BreakerOpens.Inc()
 		b.logf("campaign: remote store circuit opened after %d consecutive failures (cooldown %s)",
 			b.failures, b.cooldown)
 	}

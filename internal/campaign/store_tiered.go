@@ -167,7 +167,7 @@ func (s *TieredStore) enqueue(w tieredWrite) bool {
 	s.mu.Unlock()
 	if closed {
 		if w.flush == nil {
-			s.metrics.Dropped()
+			s.metrics.Dropped.Inc()
 		}
 		return false
 	}
@@ -176,7 +176,7 @@ func (s *TieredStore) enqueue(w tieredWrite) bool {
 		return true
 	default:
 		if w.flush == nil {
-			s.metrics.Dropped()
+			s.metrics.Dropped.Inc()
 		}
 		return false
 	}

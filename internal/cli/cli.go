@@ -132,7 +132,9 @@ func (f *Flags) Setup(errw io.Writer, prog string) ([]extrareq.Option, error) {
 
 // ReportAdaptive prints one line of adaptive-campaign accounting per result
 // (points measured versus the full grid, and whether the models converged
-// or the point budget stopped the run). Silent for fixed-grid results.
+// or the point budget stopped the run, or that the run was served from its
+// campaign entry, which does not record why it stopped). Silent for
+// fixed-grid results.
 func (f *Flags) ReportAdaptive(errw io.Writer, prog string, results []*extrareq.Result) {
 	for _, r := range results {
 		if r == nil || r.Adaptive == nil {
@@ -146,9 +148,12 @@ func (f *Flags) ReportAdaptive(errw io.Writer, prog string, results []*extrareq.
 		if !r.Adaptive.Converged {
 			stop = "stopped on point budget"
 		}
-		fmt.Fprintf(errw, "%s:%s adaptive campaign %s after %d rounds: %d of %d grid points measured (%d reused, %d saved)\n",
-			prog, app, stop, r.Adaptive.Rounds,
-			r.PointsMeasured, r.Adaptive.FullGridPoints, r.PointsReused, r.PointsSaved)
+		stop += fmt.Sprintf(" after %d rounds", r.Adaptive.Rounds)
+		if r.Adaptive.Rounds == 0 {
+			stop = "served from its campaign entry"
+		}
+		fmt.Fprintf(errw, "%s:%s adaptive campaign %s: %d of %d grid points measured (%d reused, %d saved)\n",
+			prog, app, stop, r.PointsMeasured, r.Adaptive.FullGridPoints, r.PointsReused, r.PointsSaved)
 	}
 }
 

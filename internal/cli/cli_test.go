@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"extrareq"
 )
 
 func parse(t *testing.T, args ...string) *Flags {
@@ -94,5 +96,33 @@ func TestFinishPrintsCacheStats(t *testing.T) {
 	out := diag.String()
 	if !strings.Contains(out, "3 hits") || !strings.Contains(out, "1 misses") {
 		t.Errorf("cache stats missing from %q", out)
+	}
+}
+
+// A run served from its campaign entry reports that instead of a stop
+// reason: the entry does not record why the run that wrote it stopped.
+func TestReportAdaptiveStopReasons(t *testing.T) {
+	kripke := &extrareq.Campaign{App: "Kripke"}
+	cases := []struct {
+		res  extrareq.Result
+		want string
+	}{
+		{extrareq.Result{Campaign: kripke, PointsMeasured: 12, PointsSaved: 13,
+			Adaptive: &extrareq.AdaptiveSummary{Rounds: 2, FullGridPoints: 25}},
+			"test: Kripke adaptive campaign stopped on point budget after 2 rounds: 12 of 25 grid points measured (0 reused, 13 saved)\n"},
+		{extrareq.Result{Campaign: kripke, PointsMeasured: 9, PointsSaved: 16,
+			Adaptive: &extrareq.AdaptiveSummary{Rounds: 3, Converged: true, FullGridPoints: 25}},
+			"test: Kripke adaptive campaign converged after 3 rounds: 9 of 25 grid points measured (0 reused, 16 saved)\n"},
+		{extrareq.Result{Campaign: kripke, CacheHit: true, PointsReused: 12, PointsSaved: 13,
+			Adaptive: &extrareq.AdaptiveSummary{FullGridPoints: 25}},
+			"test: Kripke adaptive campaign served from its campaign entry: 0 of 25 grid points measured (12 reused, 13 saved)\n"},
+	}
+	for _, tc := range cases {
+		var f Flags
+		var diag strings.Builder
+		f.ReportAdaptive(&diag, "test", []*extrareq.Result{&tc.res, nil, {}})
+		if got := diag.String(); got != tc.want {
+			t.Errorf("ReportAdaptive printed %q, want %q", got, tc.want)
+		}
 	}
 }

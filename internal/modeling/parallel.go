@@ -102,16 +102,14 @@ const (
 func FitSecondsEdges() []float64 { return obs.ExpEdges(1e-5, 4, 10) }
 
 // fitMetrics caches the resolved instruments so workers touch only
-// atomics on the per-task path.
+// atomics on the per-task path. Without a registry every instrument is
+// nil and its updates do nothing.
 type fitMetrics struct {
 	tasks, hits, errors *obs.Counter
 	seconds             *obs.Histogram
 }
 
 func newFitMetrics(r *obs.Registry) *fitMetrics {
-	if r == nil {
-		return nil
-	}
 	return &fitMetrics{
 		tasks:   r.Counter(MetricFitTasks),
 		hits:    r.Counter(MetricFitCacheHits),
@@ -164,14 +162,11 @@ func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Regi
 
 // fitOne runs one task, consulting the cache when provided.
 func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
-	var start time.Time
-	if fm != nil {
-		fm.tasks.Inc()
-		start = time.Now()
-		defer func() { fm.seconds.Observe(time.Since(start).Seconds()) }()
-	}
+	fm.tasks.Inc()
+	start := time.Now()
+	defer func() { fm.seconds.Observe(time.Since(start).Seconds()) }()
 	observe := func(o FitOutcome) FitOutcome {
-		if fm != nil && o.Err != nil {
+		if o.Err != nil {
 			fm.errors.Inc()
 		}
 		return o
@@ -184,7 +179,7 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
 	}
 	info, err, hit := cache.do(fingerprint(t), fit)
-	if hit && fm != nil {
+	if hit {
 		fm.hits.Inc()
 	}
 	return observe(FitOutcome{Key: t.Key, Info: info, Err: err})

@@ -4,8 +4,8 @@ package obs
 // replaces fixed measurement grids with model-driven refinement; operators
 // need to see how hard it is working (rounds, batches), how much it is
 // saving (points measured vs. skipped), and why runs stop (convergence vs.
-// budget exhaustion). Same shape as the other bundles: resolve once,
-// nil-safe throughout.
+// budget exhaustion). Same shape as the other bundles: resolve once, and
+// hold nil instruments without a registry.
 
 // Metric names of the adaptive-campaign instruments.
 const (
@@ -33,71 +33,24 @@ const (
 	MetricAdaptiveCacheHit = "adaptive_cache_hit"
 )
 
-// Adaptive bundles the adaptive-campaign instruments. The zero value and
-// the nil pointer are valid no-op instances.
+// Adaptive bundles the adaptive-campaign instruments, resolved once by
+// NewAdaptive; each field updates the MetricAdaptive* metric of the same
+// name.
 type Adaptive struct {
-	rounds, measured, reused, saved *Counter
-	converged, budgetStop, hit      *Counter
+	Rounds, PointsMeasured, PointsReused, PointsSaved *Counter
+	Converged, BudgetStop, CacheHit                   *Counter
 }
 
-// NewAdaptive resolves the adaptive instruments in reg; nil reg returns a
-// no-op bundle.
+// NewAdaptive resolves the adaptive instruments in reg; from a nil reg
+// every instrument is nil and every update a no-op.
 func NewAdaptive(reg *Registry) *Adaptive {
-	if reg == nil {
-		return nil
-	}
 	return &Adaptive{
-		rounds:     reg.Counter(MetricAdaptiveRounds),
-		measured:   reg.Counter(MetricAdaptivePointsMeasured),
-		reused:     reg.Counter(MetricAdaptivePointsReused),
-		saved:      reg.Counter(MetricAdaptivePointsSaved),
-		converged:  reg.Counter(MetricAdaptiveConverged),
-		budgetStop: reg.Counter(MetricAdaptiveBudgetStop),
-		hit:        reg.Counter(MetricAdaptiveCacheHit),
-	}
-}
-
-// Round counts one refinement round (one fit over the measured set).
-func (m *Adaptive) Round() {
-	if m != nil {
-		m.rounds.Inc()
-	}
-}
-
-// Points adds one batch's assembly split: configurations measured by this
-// run versus reused from the point cache.
-func (m *Adaptive) Points(reused, measured int) {
-	if m != nil {
-		m.reused.Add(int64(reused))
-		m.measured.Add(int64(measured))
-	}
-}
-
-// Saved records how many full-grid configurations a finished run skipped.
-func (m *Adaptive) Saved(n int) {
-	if m != nil {
-		m.saved.Add(int64(n))
-	}
-}
-
-// Converged counts one run stopped by the stability rule.
-func (m *Adaptive) Converged() {
-	if m != nil {
-		m.converged.Inc()
-	}
-}
-
-// BudgetStop counts one run stopped by the point budget or candidate
-// exhaustion.
-func (m *Adaptive) BudgetStop() {
-	if m != nil {
-		m.budgetStop.Inc()
-	}
-}
-
-// CacheHit counts one adaptive run served from its campaign-level entry.
-func (m *Adaptive) CacheHit() {
-	if m != nil {
-		m.hit.Inc()
+		Rounds:         reg.Counter(MetricAdaptiveRounds),
+		PointsMeasured: reg.Counter(MetricAdaptivePointsMeasured),
+		PointsReused:   reg.Counter(MetricAdaptivePointsReused),
+		PointsSaved:    reg.Counter(MetricAdaptivePointsSaved),
+		Converged:      reg.Counter(MetricAdaptiveConverged),
+		BudgetStop:     reg.Counter(MetricAdaptiveBudgetStop),
+		CacheHit:       reg.Counter(MetricAdaptiveCacheHit),
 	}
 }

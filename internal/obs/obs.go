@@ -10,6 +10,11 @@
 // registry), then updated on hot paths with a single atomic operation and
 // no allocation; trace events go into per-rank rings owned by exactly one
 // goroutine, so tracing adds no synchronization to the runtime at all.
+//
+// A nil *Registry hands out nil instruments, and updating a nil instrument
+// does nothing, so code built without a registry shares every call site
+// with code built with one: no registry means no metrics, decided here
+// and nowhere else.
 package obs
 
 import (
@@ -23,31 +28,37 @@ import (
 )
 
 // Counter is a monotonically increasing metric (retries, quarantines,
-// cache hits). Updates are a single atomic add.
+// cache hits). Updates are a single atomic add; on a nil counter they do
+// nothing.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Add increments the counter by d (d < 0 is ignored: counters only grow).
 func (c *Counter) Add(d int64) {
-	if d > 0 {
+	if c != nil && d > 0 {
 		c.v.Add(d)
 	}
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value-wins metric (pool size, in-flight runs).
+// Gauge is a last-value-wins metric (pool size, in-flight runs). Set on a
+// nil gauge does nothing.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the most recently stored value (0 before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -57,6 +68,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // bucket [Edges[last], +inf), and an underflow count below Edges[0]. The
 // bucket layout is immutable after creation, so Observe is a binary search
 // plus one atomic increment — safe for concurrent use with no locking.
+// Observe on a nil histogram does nothing.
 type Histogram struct {
 	edges  []float64
 	counts []atomic.Int64 // len(edges): counts[i] covers [edges[i], edges[i+1])
@@ -81,6 +93,9 @@ func newHistogram(edges []float64) *Histogram {
 
 // Observe records one observation. NaN counts as underflow.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.total.Add(1)
 	for {
 		old := h.sum.Load()
@@ -144,7 +159,8 @@ func ExpEdges(start, factor float64, n int) []float64 {
 // Registry holds named instruments. Lookup/creation takes a mutex;
 // instruments themselves are updated lock-free, so the intended pattern is
 // to resolve instruments once per campaign (or cache the pointer) and hit
-// only atomics afterwards.
+// only atomics afterwards. A nil registry resolves every name to a nil
+// instrument, whose updates do nothing.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -161,8 +177,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use; nil on a
+// nil registry.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -173,8 +193,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use; nil on a nil
+// registry.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -186,9 +210,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given edges
-// on first use. Later calls ignore edges (the first creation wins), so
-// concurrent instrument resolution is safe.
+// on first use; nil on a nil registry. Later calls ignore edges (the first
+// creation wins), so concurrent instrument resolution is safe.
 func (r *Registry) Histogram(name string, edges []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]

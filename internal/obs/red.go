@@ -4,8 +4,8 @@ package obs
 // signals a campaign service needs to explain its own behavior under load:
 // how deep the admission queue is, how much duplicate work was coalesced
 // away, and how many requests were shed instead of queued unboundedly.
-// The RED type resolves the instruments once and is nil-safe throughout,
-// so a server built without a registry pays nothing.
+// The RED type resolves the instruments once; a server built without a
+// registry holds nil instruments, whose updates do nothing.
 
 // Metric names of the server-level RED instruments.
 const (
@@ -35,80 +35,24 @@ const (
 // so campaign and request latencies line up in dashboards.
 func RequestSecondsEdges() []float64 { return ExpEdges(1e-4, 4, 10) }
 
-// RED bundles the server instruments. The zero value and the nil pointer
-// are valid no-op instances.
+// RED bundles the server instruments, resolved once by NewRED; each field
+// updates the MetricServer* metric of the same name.
 type RED struct {
-	requests  *Counter
-	errors    *Counter
-	shed      *Counter
-	coalesced *Counter
-	queue     *Gauge
-	inflight  *Gauge
-	latency   *Histogram
+	Requests, Errors, Shed, Coalesced *Counter
+	QueueDepth, Inflight              *Gauge
+	Latency                           *Histogram
 }
 
-// NewRED resolves the server instruments in reg; nil reg returns a no-op
-// RED.
+// NewRED resolves the server instruments in reg; from a nil reg every
+// instrument is nil and every update a no-op.
 func NewRED(reg *Registry) *RED {
-	if reg == nil {
-		return nil
-	}
 	return &RED{
-		requests:  reg.Counter(MetricServerRequests),
-		errors:    reg.Counter(MetricServerErrors),
-		shed:      reg.Counter(MetricServerShed),
-		coalesced: reg.Counter(MetricServerCoalesced),
-		queue:     reg.Gauge(MetricServerQueueDepth),
-		inflight:  reg.Gauge(MetricServerInflight),
-		latency:   reg.Histogram(MetricServerLatency, RequestSecondsEdges()),
-	}
-}
-
-// Request counts one admission attempt.
-func (m *RED) Request() {
-	if m != nil {
-		m.requests.Inc()
-	}
-}
-
-// Error counts one failed request.
-func (m *RED) Error() {
-	if m != nil {
-		m.errors.Inc()
-	}
-}
-
-// Shed counts one request rejected by admission control.
-func (m *RED) Shed() {
-	if m != nil {
-		m.shed.Inc()
-	}
-}
-
-// Coalesced counts one request that attached to an in-flight execution.
-func (m *RED) Coalesced() {
-	if m != nil {
-		m.coalesced.Inc()
-	}
-}
-
-// ObserveLatency records one request's admission-to-response time.
-func (m *RED) ObserveLatency(seconds float64) {
-	if m != nil {
-		m.latency.Observe(seconds)
-	}
-}
-
-// SetQueueDepth records the current number of admitted, unfinished flights.
-func (m *RED) SetQueueDepth(n int) {
-	if m != nil {
-		m.queue.Set(float64(n))
-	}
-}
-
-// SetInflight records the current number of running campaign executions.
-func (m *RED) SetInflight(n int) {
-	if m != nil {
-		m.inflight.Set(float64(n))
+		Requests:   reg.Counter(MetricServerRequests),
+		Errors:     reg.Counter(MetricServerErrors),
+		Shed:       reg.Counter(MetricServerShed),
+		Coalesced:  reg.Counter(MetricServerCoalesced),
+		QueueDepth: reg.Gauge(MetricServerQueueDepth),
+		Inflight:   reg.Gauge(MetricServerInflight),
+		Latency:    reg.Histogram(MetricServerLatency, RequestSecondsEdges()),
 	}
 }

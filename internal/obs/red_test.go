@@ -5,16 +5,16 @@ import "testing"
 func TestREDCountsIntoRegistry(t *testing.T) {
 	reg := NewRegistry()
 	red := NewRED(reg)
-	red.Request()
-	red.Request()
-	red.Error()
-	red.Shed()
-	red.Coalesced()
-	red.Coalesced()
-	red.Coalesced()
-	red.SetQueueDepth(5)
-	red.SetInflight(2)
-	red.ObserveLatency(0.25)
+	red.Requests.Inc()
+	red.Requests.Inc()
+	red.Errors.Inc()
+	red.Shed.Inc()
+	red.Coalesced.Inc()
+	red.Coalesced.Inc()
+	red.Coalesced.Inc()
+	red.QueueDepth.Set(5)
+	red.Inflight.Set(2)
+	red.Latency.Observe(0.25)
 
 	s := reg.Snapshot()
 	wantCounters := map[string]int64{
@@ -43,15 +43,41 @@ func TestREDCountsIntoRegistry(t *testing.T) {
 	}
 }
 
-// A nil RED (no registry) must be a total no-op: servers built without
-// observability share the same call sites.
-func TestREDNilSafe(t *testing.T) {
-	var red *RED
-	red.Request()
-	red.Error()
-	red.Shed()
-	red.Coalesced()
-	red.SetQueueDepth(1)
-	red.SetInflight(1)
-	red.ObserveLatency(1)
+// A nil registry means no metrics: every instrument it hands out, and
+// every bundle built from it, accepts every update and records nothing.
+// Code built without observability shares the same call sites.
+func TestNilRegistryInstrumentsAreNoOps(t *testing.T) {
+	var reg *Registry
+	c := reg.Counter("c")
+	g := reg.Gauge("g")
+	h := reg.Histogram("h", ExpEdges(1, 2, 3))
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out instruments %p %p %p, want nil", c, g, h)
+	}
+	c.Add(3)
+	c.Inc()
+	g.Set(1)
+	h.Observe(1)
+
+	red := NewRED(reg)
+	for _, c := range []*Counter{red.Requests, red.Errors, red.Shed, red.Coalesced} {
+		c.Inc()
+	}
+	red.QueueDepth.Set(1)
+	red.Inflight.Set(1)
+	red.Latency.Observe(1)
+
+	rs := NewRemoteStore(reg)
+	for _, c := range []*Counter{rs.Hit, rs.Miss, rs.Error, rs.Dropped, rs.BreakerOpens} {
+		c.Inc()
+	}
+	rs.Seconds.Observe(1)
+	rs.BreakerOpen.Set(1)
+
+	ad := NewAdaptive(reg)
+	for _, c := range []*Counter{ad.Rounds, ad.PointsMeasured, ad.PointsReused, ad.PointsSaved,
+		ad.Converged, ad.BudgetStop, ad.CacheHit} {
+		c.Add(2)
+		c.Inc()
+	}
 }

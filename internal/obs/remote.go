@@ -6,8 +6,8 @@ package obs
 // path has real failure modes — slow networks, 5xx bursts, partitions —
 // that operators must be able to see without reading logs. RemoteStore
 // follows the RED pattern used for the server instruments: resolve once,
-// update with single atomics, nil-safe throughout so a store built
-// without a registry pays nothing.
+// update with single atomics; a store built without a registry holds nil
+// instruments, whose updates do nothing.
 
 // Metric names of the remote point-store instruments.
 const (
@@ -39,82 +39,25 @@ const (
 // server-side latencies line up in dashboards.
 func RemoteStoreSecondsEdges() []float64 { return ExpEdges(1e-4, 4, 10) }
 
-// RemoteStore bundles the remote point-store instruments. The zero value
-// and the nil pointer are valid no-op instances.
+// RemoteStore bundles the remote point-store instruments, resolved once
+// by NewRemoteStore; each field updates the MetricStoreRemote* metric of
+// the same name.
 type RemoteStore struct {
-	hit, miss, err, dropped *Counter
-	seconds                 *Histogram
-	breakerOpen             *Gauge
-	breakerOpens            *Counter
+	Hit, Miss, Error, Dropped, BreakerOpens *Counter
+	Seconds                                 *Histogram
+	BreakerOpen                             *Gauge
 }
 
-// NewRemoteStore resolves the remote-store instruments in reg; nil reg
-// returns a no-op bundle.
+// NewRemoteStore resolves the remote-store instruments in reg; from a nil
+// reg every instrument is nil and every update a no-op.
 func NewRemoteStore(reg *Registry) *RemoteStore {
-	if reg == nil {
-		return nil
-	}
 	return &RemoteStore{
-		hit:          reg.Counter(MetricStoreRemoteHit),
-		miss:         reg.Counter(MetricStoreRemoteMiss),
-		err:          reg.Counter(MetricStoreRemoteError),
-		dropped:      reg.Counter(MetricStoreRemoteDropped),
-		seconds:      reg.Histogram(MetricStoreRemoteSeconds, RemoteStoreSecondsEdges()),
-		breakerOpen:  reg.Gauge(MetricStoreRemoteBreakerOpen),
-		breakerOpens: reg.Counter(MetricStoreRemoteBreakerOpens),
-	}
-}
-
-// Hit counts one successful remote load.
-func (m *RemoteStore) Hit() {
-	if m != nil {
-		m.hit.Inc()
-	}
-}
-
-// Miss counts one remote load that found nothing (404 or breaker open).
-func (m *RemoteStore) Miss() {
-	if m != nil {
-		m.miss.Inc()
-	}
-}
-
-// Error counts one remote operation that failed after retries.
-func (m *RemoteStore) Error() {
-	if m != nil {
-		m.err.Inc()
-	}
-}
-
-// Dropped counts one write discarded without reaching the remote.
-func (m *RemoteStore) Dropped() {
-	if m != nil {
-		m.dropped.Inc()
-	}
-}
-
-// ObserveLatency records one logical operation's wall time in seconds.
-func (m *RemoteStore) ObserveLatency(s float64) {
-	if m != nil {
-		m.seconds.Observe(s)
-	}
-}
-
-// SetBreakerOpen publishes the breaker gauge (1 = open, 0 = closed).
-func (m *RemoteStore) SetBreakerOpen(open bool) {
-	if m == nil {
-		return
-	}
-	v := 0.0
-	if open {
-		v = 1.0
-	}
-	m.breakerOpen.Set(v)
-}
-
-// BreakerOpened counts one transition into the open state.
-func (m *RemoteStore) BreakerOpened() {
-	if m != nil {
-		m.breakerOpens.Inc()
+		Hit:          reg.Counter(MetricStoreRemoteHit),
+		Miss:         reg.Counter(MetricStoreRemoteMiss),
+		Error:        reg.Counter(MetricStoreRemoteError),
+		Dropped:      reg.Counter(MetricStoreRemoteDropped),
+		Seconds:      reg.Histogram(MetricStoreRemoteSeconds, RemoteStoreSecondsEdges()),
+		BreakerOpen:  reg.Gauge(MetricStoreRemoteBreakerOpen),
+		BreakerOpens: reg.Counter(MetricStoreRemoteBreakerOpens),
 	}
 }

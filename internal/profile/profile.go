@@ -63,7 +63,6 @@ type Node struct {
 	has    uint8
 	extra  map[string]float64
 	parent *Node
-	index  map[string]*Node
 }
 
 // add accumulates v into the fixed slot m.
@@ -151,22 +150,17 @@ func newNode(name string, parent *Node) *Node {
 	return &Node{Name: name, parent: parent}
 }
 
-// child returns (creating if needed) the child with the given name. The
-// name index is built on a node's first child lookup, so leaves never
-// allocate one.
+// child returns (creating if needed) the child with the given name. Call
+// trees are narrow — a proxy's regions have a handful of children each —
+// so a scan beats building an index per node on every run.
 func (n *Node) child(name string) *Node {
-	if n.index == nil {
-		n.index = map[string]*Node{}
-		for _, c := range n.Children {
-			n.index[c.Name] = c
+	for _, c := range n.Children {
+		if c.Name == name {
+			return c
 		}
 	}
-	c, ok := n.index[name]
-	if !ok {
-		c = newNode(name, n)
-		n.index[name] = c
-		n.Children = append(n.Children, c)
-	}
+	c := newNode(name, n)
+	n.Children = append(n.Children, c)
 	return c
 }
 
@@ -330,7 +324,6 @@ func (p *Profiler) UnmarshalJSON(data []byte) error {
 
 func fixParents(n *Node, parent *Node) {
 	n.parent = parent
-	n.index = nil
 	for _, c := range n.Children {
 		fixParents(c, n)
 	}

@@ -376,7 +376,9 @@ func (s *Server) handlePointGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	s.countPoints("server_points_get_total")
+	// The sharding smoke reconciles shard traffic against the points
+	// counters.
+	s.opts.Metrics.Counter("server_points_get_total").Inc()
 	etag := `"` + key.String() + `"`
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
 		// Content-addressed entries are immutable: holding any version of
@@ -407,7 +409,7 @@ func (s *Server) handlePointPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	s.countPoints("server_points_put_total")
+	s.opts.Metrics.Counter("server_points_put_total").Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, 0, fmt.Sprintf("reading body: %v", err))
@@ -422,14 +424,6 @@ func (s *Server) handlePointPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// countPoints bumps one of the points-endpoint traffic counters; the smoke
-// harness reconciles shard traffic against them.
-func (s *Server) countPoints(name string) {
-	if s.opts.Metrics != nil {
-		s.opts.Metrics.Counter(name).Inc()
-	}
 }
 
 // etagMatches implements the slice of If-None-Match we need: a literal

@@ -55,6 +55,10 @@ import (
 // substitute controllable fakes; production wires the real scheduler.
 type Runner interface {
 	Run(ctx context.Context, req campaign.Request) (*campaign.Outcome, error)
+	// Memo serves an adaptive flight from its campaign entry or runs and
+	// stores it (adaptive.Runner).
+	Memo(ctx context.Context, req campaign.Request, k campaign.Key,
+		run func(context.Context) (*campaign.Outcome, error)) (*campaign.Outcome, error)
 	Lookup(ctx context.Context, k campaign.Key) ([]byte, bool)
 	// LookupEntry and PutEntry are the point-protocol surface
 	// (GET/PUT /v1/points/{key}): entries at either granularity, validated
@@ -303,28 +307,28 @@ func (s *Server) State() State {
 // the same spec, which measures different work.
 func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request, aopts *adaptive.Options) (*Result, error) {
 	start := s.opts.now()
-	s.red.Request()
+	s.red.Requests.Inc()
 	f, isNew, err := s.admit(tenant, req, aopts, false)
 	if err != nil {
-		s.red.Shed()
+		s.red.Shed.Inc()
 		return nil, err
 	}
 	if !isNew {
-		s.red.Coalesced()
+		s.red.Coalesced.Inc()
 	}
 	defer func() {
-		s.red.ObserveLatency(s.opts.now().Sub(start).Seconds())
+		s.red.Latency.Observe(s.opts.now().Sub(start).Seconds())
 	}()
 	select {
 	case <-f.done:
 		if f.err != nil {
-			s.red.Error()
+			s.red.Errors.Inc()
 			return &Result{Outcome: f.out, Coalesced: !isNew}, f.err
 		}
 		return &Result{Outcome: f.out, Body: f.body, Coalesced: !isNew}, nil
 	case <-ctx.Done():
 		s.detach(f)
-		s.red.Error()
+		s.red.Errors.Inc()
 		return nil, context.Cause(ctx)
 	}
 }
@@ -336,14 +340,14 @@ func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request, ao
 // Job snapshots of an adaptive flight additionally report points_saved
 // once the flight commits.
 func (s *Server) Start(tenant string, req campaign.Request, aopts *adaptive.Options) (campaign.Key, error) {
-	s.red.Request()
+	s.red.Requests.Inc()
 	f, isNew, err := s.admit(tenant, req, aopts, true)
 	if err != nil {
-		s.red.Shed()
+		s.red.Shed.Inc()
 		return campaign.Key{}, err
 	}
 	if !isNew {
-		s.red.Coalesced()
+		s.red.Coalesced.Inc()
 	}
 	return f.key, nil
 }
@@ -394,7 +398,7 @@ func (s *Server) admit(tenant string, req campaign.Request, aopts *adaptive.Opti
 	f.attached.Store(1)
 	s.flights[key] = f
 	s.admitted++
-	s.red.SetQueueDepth(s.admitted)
+	s.red.QueueDepth.Set(float64(s.admitted))
 	s.inflight.Add(1)
 	go s.execute(fctx, f, req, aopts)
 	return f, true, nil
@@ -430,7 +434,7 @@ func (s *Server) detach(f *flight) {
 // close(f.done).
 func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, aopts *adaptive.Options) {
 	defer s.inflight.Done()
-	s.red.SetInflight(int(s.running.Add(1)))
+	s.red.Inflight.Set(float64(s.running.Add(1)))
 	if req.Metrics == nil {
 		req.Metrics = s.opts.Metrics
 	}
@@ -462,8 +466,8 @@ func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, a
 	}
 	f.out, f.err = out, err
 	if err == nil {
-		// Campaign-entry hits arrive with their body; misses and adaptive
-		// flights are encoded here, once per flight.
+		// Campaign-entry hits, fixed-grid and adaptive, arrive with their
+		// body; misses are encoded here, once per flight.
 		f.body = out.Body
 		if f.body == nil {
 			if f.body, err = campaign.EncodeOutcome(out); err != nil {
@@ -477,9 +481,9 @@ func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, a
 		delete(s.flights, f.key)
 	}
 	s.admitted--
-	s.red.SetQueueDepth(s.admitted)
+	s.red.QueueDepth.Set(float64(s.admitted))
 	s.mu.Unlock()
-	s.red.SetInflight(int(s.running.Add(-1)))
+	s.red.Inflight.Set(float64(s.running.Add(-1)))
 	f.cancel()
 	close(f.done)
 }

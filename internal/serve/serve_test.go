@@ -59,6 +59,12 @@ func (r *stubRunner) Run(ctx context.Context, req campaign.Request) (*campaign.O
 	}, nil
 }
 
+// Memo memoizes nothing: it always runs.
+func (r *stubRunner) Memo(ctx context.Context, _ campaign.Request, _ campaign.Key,
+	run func(context.Context) (*campaign.Outcome, error)) (*campaign.Outcome, error) {
+	return run(ctx)
+}
+
 func (r *stubRunner) Lookup(_ context.Context, k campaign.Key) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -242,15 +242,13 @@ func RunSecondsEdges() []float64 { return obs.ExpEdges(1e-4, 4, 10) }
 
 // campaignMetrics caches the resolved instruments of one campaign so the
 // measurement hot path touches only atomics, never the registry mutex.
+// Without a registry every instrument is nil and its updates do nothing.
 type campaignMetrics struct {
 	runs, attempts, retries, recovered, quarantined *obs.Counter
 	runSeconds                                      *obs.Histogram
 }
 
 func newCampaignMetrics(r *obs.Registry) *campaignMetrics {
-	if r == nil {
-		return nil
-	}
 	return &campaignMetrics{
 		runs:        r.Counter(MetricRuns),
 		attempts:    r.Counter(MetricAttempts),
@@ -316,10 +314,8 @@ func (r *ResilientRunner) measureOnce(grid Grid, p, n, attempt int, stackDistanc
 		}
 		start := time.Now()
 		results, err := r.App.Run(cfg)
-		if cm != nil {
-			cm.runs.Inc()
-			cm.runSeconds.Observe(time.Since(start).Seconds())
-		}
+		cm.runs.Inc()
+		cm.runSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			return Sample{}, fmt.Errorf("%s at p=%d n=%d attempt %d: %w", r.App.Name(), p, n, attempt+1, err)
 		}
@@ -348,20 +344,16 @@ func (r *ResilientRunner) measureConfig(grid Grid, p, n int, stackDistance float
 	out := ConfigOutcome{P: p, N: n}
 	for a := 0; a < attempts; a++ {
 		out.Attempts = a + 1
-		if cm != nil {
-			cm.attempts.Inc()
-		}
+		cm.attempts.Inc()
 		s, err := r.measureOnce(grid, p, n, a, stackDistance, cm)
 		if err == nil {
-			if cm != nil && a > 0 {
+			if a > 0 {
 				cm.recovered.Inc()
 			}
 			return s, out
 		}
 		out.Errors = append(out.Errors, err.Error())
-		if cm != nil {
-			cm.retries.Inc()
-		}
+		cm.retries.Inc()
 		if a < attempts-1 {
 			r.sleep(backoff)
 			if backoff < maxBackoff {
@@ -369,9 +361,7 @@ func (r *ResilientRunner) measureConfig(grid Grid, p, n int, stackDistance float
 			}
 		}
 	}
-	if cm != nil {
-		cm.quarantined.Inc()
-	}
+	cm.quarantined.Inc()
 	out.Quarantined = true
 	return Sample{}, out
 }

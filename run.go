@@ -55,10 +55,12 @@ type Result struct {
 
 // AdaptiveSummary describes how an adaptive campaign stopped.
 type AdaptiveSummary struct {
-	// Rounds counts fits over the measured set (0 for a cache hit).
+	// Rounds counts fits over the measured set; 0 when the run was served
+	// from its campaign entry.
 	Rounds int
 	// Converged reports the stability rule stopped the run (rather than
-	// the point budget).
+	// the point budget). The campaign entry does not record why the run
+	// stopped, so a run served from it reports false, with Rounds 0.
 	Converged bool
 	// FullGridPoints is the size of the requested grid the run refined.
 	FullGridPoints int

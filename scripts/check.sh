@@ -42,12 +42,13 @@ echo "== perfbench: go vet + go test =="
 # point store, under the race detector, pinning that shared points are
 # measured at most once and the adaptive result stays byte-identical, plus
 # the SHA-256 pins of the adaptive result (with and without a round lost
-# whole) and the one-scheduler-call-per-round count. The suite above
+# whole), the one-scheduler-call-per-round count and the counted traffic
+# of the adaptive campaign entry across two schedulers. The suite above
 # already runs them; this explicit pass keeps the guarantees visible (and
 # failing loudly) even if the test file moves or is renamed.
 echo "== adaptive -race soak =="
 go test -race -count=1 \
-    -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic|TestAdaptivePins|TestAdaptiveOneRunPerRound' \
+    -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic|TestAdaptivePins|TestAdaptiveOneRunPerRound|TestAdaptiveEntryCounted' \
     ./internal/adaptive/
 
 # Arithmetic pin: each proxy stores only the elements its sampled kernels
@@ -76,7 +77,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # stability. Every benchmark runs five times (-count=5) and cmd/benchjson
 # records the median with its min/max: a single run drifted with the host
 # by as much as 43% between records.
-BENCH_PR=${BENCH_PR:-24}
+BENCH_PR=${BENCH_PR:-25}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count 5) =="
 {

@@ -192,7 +192,7 @@ func BenchmarkModelFitSingle(b *testing.B) {
 		})
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := modeling.FitSingle("n", ms, nil); err != nil {
+		if _, err := modeling.FitMulti([]string{"n"}, ms, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 			var sumErr float64
 			for i := 0; i < b.N; i++ {
 				ms := ablationData(int64(i))
-				info, err := modeling.FitSingle("n", ms, mode.opts())
+				info, err := modeling.FitMulti([]string{"n"}, ms, mode.opts())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := modeling.DefaultOptions()
 				o.MaxTerms = mode.maxTerms
-				info, err := modeling.FitSingle("n", ms, o)
+				info, err := modeling.FitMulti([]string{"n"}, ms, o)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -314,19 +314,20 @@ func BenchmarkAblationLocalityAggregate(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name string
-		agg  func(modeling.Measurement) float64
+		agg  modeling.Agg
 	}{
-		{"median", modeling.Measurement.Median},
-		{"mean", modeling.Measurement.Mean},
+		{"median", modeling.AggMedian},
+		{"mean", modeling.AggMean},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var pred float64
 			for i := 0; i < b.N; i++ {
-				info, err := modeling.FitSingleAggregated("n", mkMeasurements(int64(i)), mode.agg, nil)
-				if err != nil {
-					b.Fatal(err)
+				task := modeling.FitTask{Params: []string{"n"}, Ms: mkMeasurements(int64(i)), Agg: mode.agg}
+				out := modeling.FitAllObserved([]modeling.FitTask{task}, 1, nil, nil)[0]
+				if out.Err != nil {
+					b.Fatal(out.Err)
 				}
-				pred = info.Model.Eval(1024)
+				pred = out.Info.Model.Eval(1024)
 			}
 			// Truth: the common-case stack distance is the constant 24.
 			b.ReportMetric(pred, "predictedSD@n=1024")
@@ -396,7 +397,7 @@ func BenchmarkAblationCollectiveTerms(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := modeling.DefaultOptions()
 				o.Collectives = map[string]bool{"p": mode.collectives}
-				info, err := modeling.FitSingle("p", ms, o)
+				info, err := modeling.FitMulti([]string{"p"}, ms, o)
 				if err != nil {
 					b.Fatal(err)
 				}

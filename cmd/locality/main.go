@@ -52,7 +52,7 @@ func main() {
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = min(5, len(ns))
 	fitAndPrint := func(name string, ms []modeling.Measurement) {
-		info, err := modeling.FitSingle("n", ms, opts)
+		info, err := modeling.FitMulti([]string{"n"}, ms, opts)
 		if err != nil {
 			fatal(err)
 		}

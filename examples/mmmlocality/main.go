@@ -55,7 +55,7 @@ func main() {
 func fit(name string, ms []modeling.Measurement) {
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = 5
-	info, err := modeling.FitSingle("n", ms, opts)
+	info, err := modeling.FitMulti([]string{"n"}, ms, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

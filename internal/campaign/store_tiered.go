@@ -89,6 +89,34 @@ func NewTieredStore(local, remote Store, o TieredOptions) *TieredStore {
 	return s
 }
 
+// StoreOptions resolves a cache directory and a remote URL into the
+// Options fields that select a scheduler's persistent tier: a directory
+// alone keeps the default DiskStore (Options.Dir), a remote URL alone
+// selects a RemoteStore, and both layer the DiskStore over the remote as a
+// TieredStore (local reads first, asynchronous write-behind to the
+// remote); neither leaves the scheduler memory-only. The TieredStore comes
+// back as well, nil for the other shapes, so the caller can flush and
+// close it after the scheduler has closed. reg receives the remote tier's
+// instruments and logf its warnings; either may be nil.
+func StoreOptions(dir, remoteURL string, reg *obs.Registry, logf func(format string, args ...any)) (Options, *TieredStore, error) {
+	if remoteURL == "" {
+		return Options{Dir: dir}, nil, nil
+	}
+	remote, err := NewRemoteStore(remoteURL, RemoteOptions{Metrics: reg, Logf: logf})
+	if err != nil {
+		return Options{}, nil, err
+	}
+	if dir == "" {
+		return Options{Store: remote}, nil, nil
+	}
+	disk, err := OpenDiskStore(dir)
+	if err != nil {
+		return Options{}, nil, err
+	}
+	tiered := NewTieredStore(disk, remote, TieredOptions{Metrics: reg})
+	return Options{Store: tiered}, tiered, nil
+}
+
 // Status merges the tiers: writes are degraded if the local tier says so,
 // and the breaker flag surfaces from the remote tier.
 func (s *TieredStore) Status() StoreStatus {

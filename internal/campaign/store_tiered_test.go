@@ -358,3 +358,31 @@ func TestTieredSchedulerSurvivesLocalLoss(t *testing.T) {
 		t.Error("report served via the remote tier is not byte-identical")
 	}
 }
+
+// StoreOptions is the one place that maps the cache settings to a store
+// shape: directory alone → DiskStore via Options.Dir, remote alone →
+// RemoteStore, both → TieredStore (also returned for the caller's flush and
+// close), neither → memory-only. Building a store contacts nobody.
+func TestStoreOptionsSelectsTier(t *testing.T) {
+	dir, url := t.TempDir(), "http://127.0.0.1:1"
+	o, tiered, err := StoreOptions("", "", nil, nil)
+	if err != nil || o.Dir != "" || o.Store != nil || tiered != nil {
+		t.Errorf("neither: %+v, %v, %v; want memory-only", o, tiered, err)
+	}
+	o, tiered, err = StoreOptions(dir, "", nil, nil)
+	if err != nil || o.Dir != dir || o.Store != nil || tiered != nil {
+		t.Errorf("dir only: %+v, %v, %v; want Dir %q", o, tiered, err, dir)
+	}
+	o, tiered, err = StoreOptions("", url, nil, nil)
+	if _, ok := o.Store.(*RemoteStore); err != nil || !ok || o.Dir != "" || tiered != nil {
+		t.Errorf("remote only: %+v, %v, %v; want a RemoteStore", o, tiered, err)
+	}
+	o, tiered, err = StoreOptions(dir, url, nil, nil)
+	if err != nil || tiered == nil || o.Store != Store(tiered) || o.Dir != "" {
+		t.Fatalf("both: %+v, %v, %v; want the returned TieredStore", o, tiered, err)
+	}
+	tiered.Close()
+	if _, _, err := StoreOptions(dir, "cachehost:8080", nil, nil); err == nil {
+		t.Error("URL without a scheme accepted")
+	}
+}

@@ -80,39 +80,22 @@ func (f *ServeFlags) Setup(errw io.Writer, prog string) error {
 }
 
 // SchedulerOptions builds the campaign scheduler configuration, including
-// the persistence tier the cache flags select: disk (-cache-dir), remote
-// (-cache-remote), tiered local-over-remote (both), or memory-only
-// (neither). reg receives the store_remote_* instruments and may be nil.
-// The returned cleanup flushes and stops the tiered write-behind worker;
-// call it after the scheduler has closed (it is a no-op for the other
-// store shapes).
+// the persistence tier the cache flags select (campaign.StoreOptions):
+// disk (-cache-dir), remote (-cache-remote), tiered local-over-remote
+// (both), or memory-only (neither). reg receives the store_remote_*
+// instruments and may be nil. The returned cleanup stops the tiered
+// write-behind worker; call it after the scheduler has closed (it is a
+// no-op for the other store shapes). It does not flush the queue: the
+// server's drain already has.
 func (f *ServeFlags) SchedulerOptions(reg *obs.Registry, logf func(format string, args ...any)) (campaign.Options, func(), error) {
-	opts := campaign.Options{
-		Workers: f.Workers,
-		Logf:    logf,
-	}
-	nop := func() {}
-	if f.CacheRemote == "" {
-		opts.Dir = f.CacheDir
-		return opts, nop, nil
-	}
-	remote, err := campaign.NewRemoteStore(f.CacheRemote, campaign.RemoteOptions{
-		Metrics: reg,
-		Logf:    logf,
-	})
+	opts, tiered, err := campaign.StoreOptions(f.CacheDir, f.CacheRemote, reg, logf)
 	if err != nil {
 		return campaign.Options{}, nil, err
 	}
-	if f.CacheDir == "" {
-		opts.Store = remote
-		return opts, nop, nil
+	opts.Workers, opts.Logf = f.Workers, logf
+	if tiered == nil {
+		return opts, func() {}, nil
 	}
-	disk, err := campaign.OpenDiskStore(f.CacheDir)
-	if err != nil {
-		return campaign.Options{}, nil, err
-	}
-	tiered := campaign.NewTieredStore(disk, remote, campaign.TieredOptions{Metrics: reg})
-	opts.Store = tiered
 	return opts, tiered.Close, nil
 }
 

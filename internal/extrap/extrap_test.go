@@ -76,7 +76,7 @@ DATA 1024
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := modeling.FitSingle("x", ms, nil)
+	info, err := modeling.FitMulti([]string{"x"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestFitExperimentByteIdenticalToSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			info, err := modeling.FitMultiAggregated(e.Parameters, ms, modeling.Measurement.Mean, nil)
+			info, err := modeling.FitMulti(e.Parameters, ms, nil)
 			serial = append(serial, SeriesFit{Region: region, Metric: metric, Info: info, Err: err})
 		}
 	}

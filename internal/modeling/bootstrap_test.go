@@ -26,7 +26,7 @@ func TestPredictionIntervalCoversTruth(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		ms := noisyLinear(int64(trial), 0.05)
-		info, err := FitSingle("x", ms, nil)
+		info, err := FitMulti([]string{"x"}, ms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestPredictionIntervalTightForExactData(t *testing.T) {
 	for _, x := range []float64{2, 4, 8, 16, 32} {
 		ms = append(ms, Measurement{Coords: []float64{x}, Values: []float64{7 * x}})
 	}
-	info, err := FitSingle("x", ms, nil)
+	info, err := FitMulti([]string{"x"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPredictionIntervalTightForExactData(t *testing.T) {
 func TestPredictionIntervalWidensWithNoise(t *testing.T) {
 	width := func(sigma float64) float64 {
 		ms := noisyLinear(7, sigma)
-		info, err := FitSingle("x", ms, nil)
+		info, err := FitMulti([]string{"x"}, ms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestPredictionIntervalConstantModel(t *testing.T) {
 	for _, x := range []float64{2, 4, 8, 16, 32} {
 		ms = append(ms, Measurement{Coords: []float64{x}, Values: []float64{50 + rng.NormFloat64()}})
 	}
-	info, err := FitSingle("x", ms, nil)
+	info, err := FitMulti([]string{"x"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPredictionIntervalConstantModel(t *testing.T) {
 
 func TestPredictionIntervalValidation(t *testing.T) {
 	ms := noisyLinear(1, 0.01)
-	info, err := FitSingle("x", ms, nil)
+	info, err := FitMulti([]string{"x"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

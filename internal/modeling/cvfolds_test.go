@@ -2,6 +2,7 @@ package modeling
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -81,4 +82,50 @@ func TestCVFoldsDegenerate(t *testing.T) {
 			t.Errorf("single-point fold error %g, want 0", f.Err)
 		}
 	}
+}
+
+// Every CVFolds entry is pinned bit for bit to a per-fold reference refit:
+// fold i's error is pointSMAPE of the winner's shape fitted by
+// fitHypothesis on every other point and evaluated by Model.Eval at point
+// i, or 200 where that refit fails. The adaptive engine picks its next
+// configurations from these bits.
+func TestCVFoldsMatchReferenceRefits(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	params := []string{"p", "n"}
+	compared, failed := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		ms := randomSeries2(rng)
+		info, err := FitMulti(params, ms, nil)
+		if err != nil {
+			t.Fatalf("series %d: %v", trial, err)
+		}
+		if info.Model.IsConstant() {
+			continue // folds are the mean of the others, not a refit
+		}
+		pts := aggregate(ms, Measurement.Mean)
+		sortPoints(pts)
+		h := hypothesis{}
+		for _, term := range info.Model.Terms {
+			h.factors = append(h.factors, term.Factors)
+		}
+		for i, pt := range pts {
+			train := append(append([]point(nil), pts[:i]...), pts[i+1:]...)
+			want := 200.0
+			if m, err := fitHypothesis(params, h, train, false); err == nil {
+				want = pointSMAPE(m.Eval(pt.x...), pt.y)
+			} else {
+				failed++
+			}
+			got := info.CVFolds[i]
+			if math.Float64bits(got.Err) != math.Float64bits(want) {
+				t.Errorf("series %d (%s) fold %d at %v: Err %v, reference refit %v",
+					trial, info.Model, i, pt.x, got.Err, want)
+			}
+			compared++
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("compared %d folds, want at least 1000", compared)
+	}
+	t.Logf("%d folds pinned, %d of them failed refits", compared, failed)
 }

@@ -139,8 +139,8 @@ func TestOptimizedFitMatchesReference(t *testing.T) {
 			if trial%5 == 0 {
 				opts.Collectives = map[string]bool{"p": true}
 			}
-			fast, errF := FitSingle("p", ms, opts)
-			ref, errR := FitSingle("p", ms, refOpts(opts))
+			fast, errF := FitMulti([]string{"p"}, ms, opts)
+			ref, errR := FitMulti([]string{"p"}, ms, refOpts(opts))
 			if (errF == nil) != (errR == nil) {
 				t.Fatalf("trial %d: err %v vs %v", trial, errF, errR)
 			}

@@ -7,7 +7,10 @@ package modeling
 // over matrices assembled from cached columns — no basis-function
 // re-evaluation, no per-fold allocation — instead of n independent
 // fitHypothesis calls that each rebuild the design matrix from
-// math.Pow/math.Log2 calls and allocate fresh scratch.
+// math.Pow/math.Log2 calls and allocate fresh scratch. Each step is written
+// once: termColumn builds a term's product column (for the design matrices
+// and the pair prescreen), design lays out the full design matrix, and loo
+// runs the folds behind both the CV score and the per-point CVFolds.
 //
 // The optimized path is pinned byte-identical to the reference path
 // (Options.reference): fold design matrices contain the same bits (cached
@@ -16,8 +19,9 @@ package modeling
 // algorithm LeastSquares runs, and its power-of-two column equilibration
 // cannot change well-conditioned results), and held-out predictions
 // multiply coefficient and factor values in exactly the order
-// pmnf.Model.Eval uses. TestOptimizedFitMatchesReference enforces this
-// bit-for-bit across seeded random series.
+// pmnf.Model.Eval uses. TestOptimizedFitMatchesReference and
+// TestCVFoldsMatchReferenceRefits enforce this bit for bit across seeded
+// random series.
 
 import (
 	"errors"
@@ -67,11 +71,10 @@ type searcher struct {
 	// Grow-only scratch, reused across every hypothesis of the search.
 	fold        mathx.Matrix // (n-1)×k leave-one-out design matrix
 	full        mathx.Matrix // n×k full design matrix
-	rhs         []float64
+	rhs         []float64    // the observations, in point order
 	foldRHS     []float64
 	preds       []float64
 	obs         []float64
-	termCols    [][]float64 // per-term product columns of the current hypothesis
 	termScratch [][]float64 // owned storage for multi-factor product columns
 	pfCols      [][]float64 // per-factor basis columns for held-out predictions
 	pfStart     []int       // term t's factors are pfCols[pfStart[t]:pfStart[t+1]]
@@ -152,97 +155,84 @@ func (s *searcher) selectAndFit(cands []scoredHypothesis, band float64) (scoredH
 	return scoredHypothesis{}, cands, false
 }
 
-// prepareTerms fills s.termCols with one product column per term of h,
-// multiplying the cached factor columns in parameter order — the same
-// per-row multiplication sequence fitHypothesis performs, so the resulting
-// design matrix entries are bit-identical. Terms with a single non-neutral
-// factor (every term of a single-parameter search) alias the cached basis
-// column directly: 1·x is exact, so no copy is needed. Aliased columns are
-// read-only; multi-factor products go into searcher-owned scratch.
-func (s *searcher) prepareTerms(h hypothesis) {
-	n := len(s.pts)
+// termColumn returns term's product column over the series: the cached
+// factor columns multiplied in parameter order, the same per-row
+// multiplication sequence fitHypothesis performs, so the entries are
+// bit-identical. A term with a single non-neutral factor (every term of a
+// single-parameter search) returns its cached basis column itself, since
+// 1·x is exact; callers must treat it as read-only. Other terms are
+// multiplied out into *scratch, grown as needed.
+func (s *searcher) termColumn(term []pmnf.Factor, scratch *[]float64) []float64 {
+	li, nz := -1, 0
+	for l, f := range term {
+		if !f.IsOne() {
+			nz++
+			li = l
+		}
+	}
+	if nz == 1 {
+		return s.basis.column(li, term[li])
+	}
+	col := growFloats(*scratch, len(s.pts))
+	*scratch = col
+	for i := range col {
+		col[i] = 1
+	}
+	for l, f := range term {
+		if f.IsOne() {
+			continue // multiplying by the neutral factor's 1.0 is exact
+		}
+		fc := s.basis.column(l, f)
+		for i := range col {
+			col[i] *= fc[i]
+		}
+	}
+	return col
+}
+
+// design assembles h's full n×k design matrix into s.full (a column of
+// ones, then one product column per term) and the observations into
+// s.rhs, and lists the per-factor basis columns that held-out predictions
+// multiply: term t's are s.pfCols[s.pfStart[t]:s.pfStart[t+1]], in
+// parameter order, so predictions multiply in exactly the pmnf.Model.Eval
+// order.
+func (s *searcher) design(h hypothesis) {
+	n, k := len(s.pts), 1+len(h.factors)
+	s.full.Reshape(n, k)
+	s.rhs = growFloats(s.rhs, n)
+	for i, pt := range s.pts {
+		s.full.Data[i*k] = 1
+		s.rhs[i] = pt.y
+	}
 	for len(s.termScratch) < len(h.factors) {
 		s.termScratch = append(s.termScratch, nil)
 	}
-	s.termCols = s.termCols[:0]
+	s.pfCols, s.pfStart = s.pfCols[:0], s.pfStart[:0]
 	for t, term := range h.factors {
-		li, nz := -1, 0
-		for l, f := range term {
-			if !f.IsOne() {
-				nz++
-				li = l
-			}
+		for i, v := range s.termColumn(term, &s.termScratch[t]) {
+			s.full.Data[i*k+1+t] = v
 		}
-		if nz == 1 {
-			s.termCols = append(s.termCols, s.basis.column(li, term[li]))
-			continue
-		}
-		col := growFloats(s.termScratch[t], n)
-		s.termScratch[t] = col
-		for i := range col {
-			col[i] = 1
-		}
-		for l, f := range term {
-			if f.IsOne() {
-				continue // multiplying by the neutral factor's 1.0 is exact
-			}
-			fc := s.basis.column(l, f)
-			for i := range col {
-				col[i] *= fc[i]
-			}
-		}
-		s.termCols = append(s.termCols, col)
-	}
-}
-
-// cvScoreFast is the optimized leave-one-out scorer: the hypothesis's term
-// columns are assembled once from the basis cache, and every fold copies
-// all-rows-but-one into the pooled fold matrix and solves in the reusable
-// QR workspace.
-func (s *searcher) cvScoreFast(h hypothesis) (float64, int, error) {
-	n := len(s.pts)
-	k := 1 + len(h.factors)
-	if n-1 < k {
-		// Every leave-one-out fold would fail fitHypothesis's rows >= cols
-		// check; mirror the reference outcome without doing the work.
-		return math.NaN(), n, fmt.Errorf("modeling: %d points cannot determine %d coefficients", n-1, k)
-	}
-	s.prepareTerms(h)
-	// Hoist the per-factor basis columns used for held-out predictions out
-	// of the fold loop (one cache lookup per factor per hypothesis instead
-	// of per fold). The flattened list preserves (term, parameter) order, so
-	// predictions below multiply in exactly the pmnf.Model.Eval order.
-	s.pfCols = s.pfCols[:0]
-	s.pfStart = s.pfStart[:0]
-	for _, term := range h.factors {
 		s.pfStart = append(s.pfStart, len(s.pfCols))
 		for l, f := range term {
-			if f.IsOne() {
-				continue
+			if !f.IsOne() {
+				s.pfCols = append(s.pfCols, s.basis.column(l, f))
 			}
-			s.pfCols = append(s.pfCols, s.basis.column(l, f))
 		}
 	}
 	s.pfStart = append(s.pfStart, len(s.pfCols))
-	// Assemble the full n×k design matrix once; every fold is then two
-	// contiguous block copies (rows before and after the held-out row).
-	s.full.Reshape(n, k)
-	s.rhs = growFloats(s.rhs, n)
-	for i := 0; i < n; i++ {
-		row := s.full.Data[i*k : (i+1)*k]
-		row[0] = 1
-		for t := range h.factors {
-			row[1+t] = s.termCols[t][i]
-		}
-		s.rhs[i] = s.pts[i].y
-	}
+}
+
+// loo runs h's leave-one-out folds. Fold i is two contiguous block copies
+// of the full design (the rows before and after row i) into the pooled
+// fold matrix, solved in the reusable QR workspace; visit then gets the
+// prediction for point i, or the error of a fold whose solve or
+// coefficient check failed. Callers guarantee n-1 >= 1+len(h.factors).
+func (s *searcher) loo(h hypothesis, visit func(i int, pred float64, err error)) {
+	s.design(h)
+	n, k := len(s.pts), 1+len(h.factors)
 	s.fold.Reshape(n-1, k)
 	s.foldRHS = growFloats(s.foldRHS, n-1)
 	foldRHS := s.foldRHS
-	s.preds = s.preds[:0]
-	s.obs = s.obs[:0]
-	failed := 0
-	var lastErr error
 	for i := 0; i < n; i++ {
 		copy(s.fold.Data[:i*k], s.full.Data[:i*k])
 		copy(s.fold.Data[i*k:], s.full.Data[(i+1)*k:])
@@ -253,8 +243,7 @@ func (s *searcher) cvScoreFast(h hypothesis) (float64, int, error) {
 			err = checkCoef(coef, s.opts.AllowNegative)
 		}
 		if err != nil {
-			failed++
-			lastErr = err
+			visit(i, 0, err)
 			continue
 		}
 		// Predict the held-out point with the same multiplication and
@@ -268,137 +257,53 @@ func (s *searcher) cvScoreFast(h hypothesis) (float64, int, error) {
 			}
 			pred += v
 		}
+		visit(i, pred, nil)
+	}
+}
+
+// cvScoreFast is the optimized leave-one-out scorer: the SMAPE of the
+// folds that fit, over the basis cache and the pooled QR workspace.
+func (s *searcher) cvScoreFast(h hypothesis) (float64, int, error) {
+	n := len(s.pts)
+	if k := 1 + len(h.factors); n-1 < k {
+		// Every leave-one-out fold would fail fitHypothesis's rows >= cols
+		// check; mirror the reference outcome without doing the work.
+		return math.NaN(), n, fmt.Errorf("modeling: %d points cannot determine %d coefficients", n-1, k)
+	}
+	s.preds, s.obs = s.preds[:0], s.obs[:0]
+	failed := 0
+	var lastErr error
+	s.loo(h, func(i int, pred float64, err error) {
+		if err != nil {
+			failed++
+			lastErr = err
+			return
+		}
 		s.preds = append(s.preds, pred)
 		s.obs = append(s.obs, s.pts[i].y)
-	}
+	})
 	if len(s.obs) == 0 {
 		return math.NaN(), failed, lastErr
 	}
 	return stats.SMAPE(s.preds, s.obs), failed, nil
 }
 
-// looFolds fills folds[i].Err with the held-out SMAPE contribution of
-// leave-one-out fold i for hypothesis h, charging failed folds the
-// worst-case 200. It is cvScoreFast recording per-fold errors instead of
-// aggregating them; callers guarantee n-1 >= 1+len(h.factors).
-func (s *searcher) looFolds(h hypothesis, folds []CVFold) {
-	n := len(s.pts)
-	k := 1 + len(h.factors)
-	s.prepareTerms(h)
-	s.pfCols = s.pfCols[:0]
-	s.pfStart = s.pfStart[:0]
-	for _, term := range h.factors {
-		s.pfStart = append(s.pfStart, len(s.pfCols))
-		for l, f := range term {
-			if f.IsOne() {
-				continue
-			}
-			s.pfCols = append(s.pfCols, s.basis.column(l, f))
-		}
-	}
-	s.pfStart = append(s.pfStart, len(s.pfCols))
-	s.full.Reshape(n, k)
-	s.rhs = growFloats(s.rhs, n)
-	for i := 0; i < n; i++ {
-		row := s.full.Data[i*k : (i+1)*k]
-		row[0] = 1
-		for t := range h.factors {
-			row[1+t] = s.termCols[t][i]
-		}
-		s.rhs[i] = s.pts[i].y
-	}
-	s.fold.Reshape(n-1, k)
-	s.foldRHS = growFloats(s.foldRHS, n-1)
-	foldRHS := s.foldRHS
-	for i := 0; i < n; i++ {
-		copy(s.fold.Data[:i*k], s.full.Data[:i*k])
-		copy(s.fold.Data[i*k:], s.full.Data[(i+1)*k:])
-		copy(foldRHS[:i], s.rhs[:i])
-		copy(foldRHS[i:], s.rhs[i+1:])
-		coef, err := s.solver.SolveDestructive(&s.fold, foldRHS)
-		if err == nil {
-			err = checkCoef(coef, s.opts.AllowNegative)
-		}
-		if err != nil {
-			folds[i].Err = 200
-			continue
-		}
-		pred := coef[0]
-		for t := range h.factors {
-			v := coef[1+t]
-			for _, col := range s.pfCols[s.pfStart[t]:s.pfStart[t+1]] {
-				v *= col[i]
-			}
-			pred += v
-		}
-		folds[i].Err = pointSMAPE(pred, s.pts[i].y)
-	}
-}
-
 // fitFast fits the hypothesis on the full series using the cached term
 // columns and the pooled QR workspace; it is fitHypothesis minus the
 // basis-function evaluations and allocations.
 func (s *searcher) fitFast(h hypothesis) (*pmnf.Model, error) {
-	n := len(s.pts)
-	k := 1 + len(h.factors)
-	if n < k {
+	if n, k := len(s.pts), 1+len(h.factors); n < k {
 		return nil, fmt.Errorf("modeling: %d points cannot determine %d coefficients", n, k)
 	}
-	s.prepareTerms(h)
-	s.full.Reshape(n, k)
-	s.rhs = growFloats(s.rhs, n)
-	for i := 0; i < n; i++ {
-		s.full.Set(i, 0, 1)
-		for t := range h.factors {
-			s.full.Set(i, 1+t, s.termCols[t][i])
-		}
-		s.rhs[i] = s.pts[i].y
-	}
+	s.design(h)
 	coef, err := s.solver.SolveDestructive(&s.full, s.rhs)
+	if err == nil {
+		err = checkCoef(coef, s.opts.AllowNegative)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCoef(coef, s.opts.AllowNegative); err != nil {
-		return nil, err
-	}
-	m := &pmnf.Model{Params: append([]string(nil), s.params...), Constant: coef[0]}
-	for t, term := range h.factors {
-		m.AddTerm(pmnf.Term{Coeff: coef[1+t], Factors: append([]pmnf.Factor(nil), term...)})
-	}
-	return m, nil
-}
-
-// productColumn fills dst with the term's product column (cached factor
-// columns multiplied in parameter order) and returns it. When dst is nil
-// and the term has a single non-neutral factor, the cached basis column is
-// returned directly; callers must treat the result as read-only.
-func (s *searcher) productColumn(dst []float64, term []pmnf.Factor) []float64 {
-	if dst == nil {
-		li, nz := -1, 0
-		for l, f := range term {
-			if !f.IsOne() {
-				nz++
-				li = l
-			}
-		}
-		if nz == 1 {
-			return s.basis.column(li, term[li])
-		}
-	}
-	dst = growFloats(dst, len(s.pts))
-	for i := range dst {
-		dst[i] = 1
-	}
-	for l, f := range term {
-		if f.IsOne() {
-			continue
-		}
-		fc := s.basis.column(l, f)
-		for i := range dst {
-			dst[i] *= fc[i]
-		}
-	}
-	return dst
+	return h.model(s.params, coef), nil
 }
 
 // growFloats returns a slice of length n, reusing buf's storage when large

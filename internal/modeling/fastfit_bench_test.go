@@ -43,7 +43,7 @@ func benchmarkFitSingle(b *testing.B, reference bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitSingle("x", ms, opts); err != nil {
+		if _, err := FitMulti([]string{"x"}, ms, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

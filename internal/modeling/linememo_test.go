@@ -59,7 +59,7 @@ func TestLineMemoSharesBaselineLines(t *testing.T) {
 		t.Errorf("whole-fit hits = %d, want 0 (the series differ off the lines)", got)
 	}
 	for i, task := range tasks {
-		want, err := FitMultiAggregated(task.Params, task.Ms, Measurement.Mean, nil)
+		want, err := FitMulti(task.Params, task.Ms, nil)
 		if err != nil || outs[i].Err != nil {
 			t.Fatalf("%s: fit errors: cache-less %v, cached %v", task.Key, err, outs[i].Err)
 		}

@@ -154,17 +154,23 @@ func fitHypothesis(params []string, h hypothesis, pts []point, allowNegative boo
 		b[i] = pt.y
 	}
 	coef, err := mathx.LeastSquares(a, b)
+	if err == nil {
+		err = checkCoef(coef, allowNegative)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCoef(coef, allowNegative); err != nil {
-		return nil, err
-	}
+	return h.model(params, coef), nil
+}
+
+// model is the fitted model of h: coef[0] is the constant, coef[1+t] the
+// coefficient of term t.
+func (h hypothesis) model(params []string, coef []float64) *pmnf.Model {
 	m := &pmnf.Model{Params: append([]string(nil), params...), Constant: coef[0]}
-	for k, term := range h.factors {
-		m.AddTerm(pmnf.Term{Coeff: coef[1+k], Factors: append([]pmnf.Factor(nil), term...)})
+	for t, term := range h.factors {
+		m.AddTerm(pmnf.Term{Coeff: coef[1+t], Factors: append([]pmnf.Factor(nil), term...)})
 	}
-	return m, nil
+	return m
 }
 
 // point is an aggregated sample: one coordinate vector, one value.
@@ -252,10 +258,10 @@ func finishInfo(m *pmnf.Model, pts []point, cv float64, opts *Options) *ModelInf
 
 // looFolds computes the per-point leave-one-out diagnostics for a final
 // model: one fold per aggregated point, refitting the winner's term shape on
-// the other points and scoring the held-out prediction. It always uses the
-// optimized scorer (the diagnostics are not part of the reference-equality
-// surface pinned by TestOptimizedFitMatchesReference) and is deterministic
-// for a given point series.
+// the other points and scoring the held-out prediction. It always runs the
+// optimized fold loop, which TestCVFoldsMatchReferenceRefits pins bit for
+// bit to per-fold fitHypothesis refits, and is deterministic for a given
+// point series.
 func looFolds(m *pmnf.Model, pts []point, opts *Options) []CVFold {
 	folds := make([]CVFold, len(pts))
 	for i, pt := range pts {
@@ -290,7 +296,13 @@ func looFolds(m *pmnf.Model, pts []point, opts *Options) []CVFold {
 	}
 	s := newSearcher(m.Params, pts, opts)
 	defer s.release()
-	s.looFolds(h, folds)
+	s.loo(h, func(i int, pred float64, err error) {
+		if err != nil {
+			folds[i].Err = 200 // a failed refit, charged as cvScore charges it
+			return
+		}
+		folds[i].Err = pointSMAPE(pred, pts[i].y)
+	})
 	return folds
 }
 

@@ -9,10 +9,14 @@ import (
 	"extrareq/internal/pmnf"
 )
 
-// FitMulti fits a multi-parameter PMNF model (Equation 2) to measurements.
+// FitMulti fits a PMNF model (Equation 2) over params to measurements,
+// aggregating repeated observations with the mean (a FitTask with AggMedian
+// selects the median). Every parameter needs Options.MinPoints distinct
+// values, or the fit returns ErrTooFewPoints. A single parameter is fitted
+// by iterative term addition over the whole series (§II-C).
 //
-// Following the paper (§II-C) and the fast multi-parameter modeling
-// approach of Extra-P, the procedure is:
+// For several parameters, following the paper (§II-C) and the fast
+// multi-parameter modeling approach of Extra-P, the procedure is:
 //
 //  1. For each parameter, fit a single-parameter model on the subset of
 //     measurements where all other parameters are held at their smallest
@@ -23,40 +27,35 @@ import (
 //     select the winner by leave-one-out cross-validated SMAPE, preferring
 //     fewer terms among statistically indistinguishable hypotheses.
 func FitMulti(params []string, ms []Measurement, opts *Options) (*ModelInfo, error) {
-	return FitMultiAggregated(params, ms, Measurement.Mean, opts)
+	return fitMulti(params, ms, AggMean, opts, nil)
 }
 
-// FitMultiAggregated is FitMulti with a custom aggregator over repeated
-// observations.
-func FitMultiAggregated(params []string, ms []Measurement, agg func(Measurement) float64, opts *Options) (*ModelInfo, error) {
-	return fitMultiAggregated(params, ms, agg, opts, nil)
-}
-
-// fitMultiAggregated is FitMultiAggregated taking step 1's baseline-line
-// searches from cache (nil: search every line). A line's harvest is a pure
-// function of what lineFingerprint hashes, so a memoized line yields the
-// same model, bit for bit, as a fresh search.
-func fitMultiAggregated(params []string, ms []Measurement, agg func(Measurement) float64, opts *Options, cache *FitCache) (*ModelInfo, error) {
+// fitMulti is FitMulti aggregating with agg and taking step 1's
+// baseline-line searches from cache (nil: search every line). A line's
+// harvest is a pure function of what lineFingerprint hashes, so a memoized
+// line yields the same model, bit for bit, as a fresh search.
+func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *FitCache) (*ModelInfo, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
 	if len(params) == 0 {
 		return nil, fmt.Errorf("modeling: no parameters")
 	}
-	pts := aggregate(ms, agg)
+	pts := aggregate(ms, agg.fn())
 	for _, pt := range pts {
 		if len(pt.x) != len(params) {
 			return nil, fmt.Errorf("modeling: measurement arity %d does not match %d parameters", len(pt.x), len(params))
 		}
 	}
 	sortPoints(pts)
-	if len(params) == 1 {
-		return fitIterative(params, pts, singleTermCandidates(params[0], opts), opts)
-	}
 	for l, p := range params {
 		if got := distinctCoords(pts, l); got < opts.MinPoints {
 			return nil, fmt.Errorf("%w: %d distinct values of %s, need %d", ErrTooFewPoints, got, p, opts.MinPoints)
 		}
+	}
+	if len(params) == 1 {
+		info, _, err := fitIterativeHarvest(params, pts, singleTermCandidates(params[0], opts), opts)
+		return info, err
 	}
 
 	// Step 1: single-parameter models along baseline lines.

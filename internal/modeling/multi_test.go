@@ -166,6 +166,29 @@ func TestFitMultiSingleParamDelegates(t *testing.T) {
 	}
 }
 
+// A one-parameter series is held to the same MinPoints rule as every axis
+// of a multi-parameter grid, whether it is fitted alone or in a batch.
+func TestOneParameterFitNeedsMinPoints(t *testing.T) {
+	ms := meas1([]float64{2, 4, 8}, func(x float64) float64 { return x * x })
+	fits := func(opts *Options) map[string]error {
+		_, err := FitMulti([]string{"x"}, ms, opts)
+		out := FitAllObserved([]FitTask{{Params: []string{"x"}, Ms: ms, Opts: opts}}, 1, nil, nil)
+		return map[string]error{"FitMulti": err, "FitAllObserved": out[0].Err}
+	}
+	for name, err := range fits(nil) {
+		if !errors.Is(err, ErrTooFewPoints) {
+			t.Errorf("%s on 3 points: err = %v, want ErrTooFewPoints", name, err)
+		}
+	}
+	opts := DefaultOptions()
+	opts.MinPoints = 3
+	for name, err := range fits(opts) {
+		if err != nil {
+			t.Errorf("%s with MinPoints 3: %v", name, err)
+		}
+	}
+}
+
 func TestFitMultiRelErrorsCoverAllPoints(t *testing.T) {
 	ms := grid(gridPs, gridNs, func(p, n float64) float64 { return n * p })
 	info, err := FitMulti([]string{"p", "n"}, ms, nil)

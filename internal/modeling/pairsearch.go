@@ -55,7 +55,8 @@ func exhaustivePairSearch(s *searcher, candidates [][]pmnf.Factor) (*pmnf.Model,
 			}
 			cols[c] = col
 		} else {
-			cols[c] = s.productColumn(nil, cand)
+			var own []float64
+			cols[c] = s.termColumn(cand, &own)
 		}
 	}
 	obs := make([]float64, n)

@@ -172,7 +172,7 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		return o
 	}
 	fit := func() (*ModelInfo, error) {
-		return fitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts, cache)
+		return fitMulti(t.Params, t.Ms, t.Agg, t.Opts, cache)
 	}
 	if cache == nil {
 		info, err := fit()
@@ -193,9 +193,8 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 //
 // Below the whole fits it also memoizes, under the same rules, the factors
 // a multi-parameter fit harvests from each parameter's baseline line
-// (FitMultiAggregated's step 1), so fits whose series share a baseline
-// line search it once. Len, Hits and fit_cache_hits_total count whole fits
-// only.
+// (FitMulti's step 1), so fits whose series share a baseline line search
+// it once. Len, Hits and fit_cache_hits_total count whole fits only.
 type FitCache struct {
 	mu       sync.Mutex
 	entries  map[[sha256.Size]byte]*flight[*ModelInfo]

@@ -29,7 +29,7 @@ func TestSingleTermRecoveryProperty(t *testing.T) {
 		for _, x := range xs {
 			ms = append(ms, Measurement{Coords: []float64{x}, Values: []float64{truth(x)}})
 		}
-		info, err := FitSingle("x", ms, nil)
+		info, err := FitMulti([]string{"x"}, ms, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, f, err)
 		}
@@ -57,11 +57,11 @@ func TestFitScaleEquivariance(t *testing.T) {
 		}
 		return ms
 	}
-	base, err := FitSingle("x", mk(1), nil)
+	base, err := FitMulti([]string{"x"}, mk(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := FitSingle("x", mk(1000), nil)
+	scaled, err := FitMulti([]string{"x"}, mk(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMorePointsDoNotHurt(t *testing.T) {
 		for _, x := range xs {
 			ms = append(ms, Measurement{Coords: []float64{x}, Values: []float64{truth(x)}})
 		}
-		info, err := FitSingle("x", ms, nil)
+		info, err := FitMulti([]string{"x"}, ms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,39 +2,11 @@ package modeling
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
 	"extrareq/internal/pmnf"
 )
-
-// FitSingle fits a single-parameter PMNF model to measurements of one
-// metric. The measurements must have one coordinate each; values are
-// aggregated with the mean. Use FitSingleAggregated to control aggregation.
-func FitSingle(param string, ms []Measurement, opts *Options) (*ModelInfo, error) {
-	return FitSingleAggregated(param, ms, Measurement.Mean, opts)
-}
-
-// FitSingleAggregated is FitSingle with a custom per-measurement aggregator
-// (e.g. Measurement.Median for the locality methodology of §II-B).
-func FitSingleAggregated(param string, ms []Measurement, agg func(Measurement) float64, opts *Options) (*ModelInfo, error) {
-	if opts == nil {
-		opts = DefaultOptions()
-	}
-	pts := aggregate(ms, agg)
-	for _, pt := range pts {
-		if len(pt.x) != 1 {
-			return nil, fmt.Errorf("modeling: FitSingle requires 1 coordinate, got %d", len(pt.x))
-		}
-	}
-	sortPoints(pts)
-	if distinctCoords(pts, 0) < opts.MinPoints {
-		return nil, fmt.Errorf("%w: %d distinct values of %s, need %d",
-			ErrTooFewPoints, distinctCoords(pts, 0), param, opts.MinPoints)
-	}
-	return fitIterative([]string{param}, pts, singleTermCandidates(param, opts), opts)
-}
 
 // singleTermCandidates enumerates all one-parameter factor candidates.
 func singleTermCandidates(param string, opts *Options) [][]pmnf.Factor {
@@ -52,22 +24,17 @@ func singleTermCandidates(param string, opts *Options) [][]pmnf.Factor {
 // modest beam avoids that while keeping the search cheap.
 const beamWidth = 8
 
-// fitIterative is the shared iterative-refinement search over term
+// fitIterativeHarvest is the iterative-refinement search over term
 // candidates: start from the constant model and grow hypotheses one term at
 // a time, carrying a beam of the cross-validation best partial hypotheses,
-// while improvement stays above the threshold.
+// while improvement stays above the threshold. candidates is the set of
+// term shapes (one factor per model parameter).
 //
-// candidates is the set of term shapes (one factor per model parameter).
-func fitIterative(params []string, pts []point, candidates [][]pmnf.Factor, opts *Options) (*ModelInfo, error) {
-	info, _, err := fitIterativeHarvest(params, pts, candidates, opts)
-	return info, err
-}
-
-// fitIterativeHarvest is fitIterative additionally returning the round-one
-// Occam winner — the fitted best single-term model, exactly what a separate
-// MaxTerms=1 search would return — or nil when the constant model won round
-// one. FitMulti harvests its factors for the combination hypothesis space
-// without paying for a second search.
+// Besides the fit it returns the round-one Occam winner — the fitted best
+// single-term model, exactly what a separate MaxTerms=1 search would
+// return — or nil when the constant model won round one. FitMulti harvests
+// its factors for the combination hypothesis space without paying for a
+// second search.
 func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Factor, opts *Options) (*ModelInfo, *pmnf.Model, error) {
 	// Near-constant data short-circuits to the constant model; this mirrors
 	// Extra-P's noise guard and avoids fitting growth to jitter.

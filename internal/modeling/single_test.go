@@ -21,7 +21,7 @@ func meas1(xs []float64, f func(x float64) float64) []Measurement {
 var gridP = []float64{2, 4, 8, 16, 32, 64}
 
 func TestFitSingleConstant(t *testing.T) {
-	info, err := FitSingle("p", meas1(gridP, func(float64) float64 { return 42 }), nil)
+	info, err := FitMulti([]string{"p"}, meas1(gridP, func(float64) float64 { return 42 }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFitSingleConstant(t *testing.T) {
 }
 
 func TestFitSingleLinear(t *testing.T) {
-	info, err := FitSingle("n", meas1(gridP, func(x float64) float64 { return 100 * x }), nil)
+	info, err := FitMulti([]string{"n"}, meas1(gridP, func(x float64) float64 { return 100 * x }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFitSingleLinear(t *testing.T) {
 }
 
 func TestFitSingleQuadratic(t *testing.T) {
-	info, err := FitSingle("n", meas1(gridP, func(x float64) float64 { return 7 * x * x }), nil)
+	info, err := FitMulti([]string{"n"}, meas1(gridP, func(x float64) float64 { return 7 * x * x }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFitSingleQuadratic(t *testing.T) {
 }
 
 func TestFitSingleLogarithmic(t *testing.T) {
-	info, err := FitSingle("p", meas1(gridP, func(x float64) float64 { return 50 * math.Log2(x) }), nil)
+	info, err := FitMulti([]string{"p"}, meas1(gridP, func(x float64) float64 { return 50 * math.Log2(x) }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFitSingleLogarithmic(t *testing.T) {
 }
 
 func TestFitSingleNLogN(t *testing.T) {
-	info, err := FitSingle("n", meas1(gridP, func(x float64) float64 { return 3 * x * math.Log2(x) }), nil)
+	info, err := FitMulti([]string{"n"}, meas1(gridP, func(x float64) float64 { return 3 * x * math.Log2(x) }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFitSingleNLogN(t *testing.T) {
 
 func TestFitSingleSqrt(t *testing.T) {
 	// Relearn's memory footprint: 10^6 · n^0.5.
-	info, err := FitSingle("n", meas1([]float64{64, 256, 1024, 4096, 16384},
+	info, err := FitMulti([]string{"n"}, meas1([]float64{64, 256, 1024, 4096, 16384},
 		func(x float64) float64 { return 1e6 * math.Sqrt(x) }), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFitSingleSqrt(t *testing.T) {
 func TestFitSingleTwoTerms(t *testing.T) {
 	// y = 1e6 + 1000·x^2: the constant is handled by c0; a second shape
 	// appears when data mixes growth, e.g. y = 10·x + 2·x^2.
-	info, err := FitSingle("n", meas1([]float64{2, 4, 8, 16, 32, 64, 128, 256},
+	info, err := FitMulti([]string{"n"}, meas1([]float64{2, 4, 8, 16, 32, 64, 128, 256},
 		func(x float64) float64 { return 1000*x + 2*x*x }), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestFitSingleNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ms := meas1([]float64{2, 4, 8, 16, 32, 64},
 		func(x float64) float64 { return 500 * x * (1 + 0.02*rng.NormFloat64()) })
-	info, err := FitSingle("n", ms, nil)
+	info, err := FitMulti([]string{"n"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFitSingleNoisy(t *testing.T) {
 func TestFitSingleNoiseDoesNotInventGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ms := meas1(gridP, func(x float64) float64 { return 1000 * (1 + 0.01*rng.NormFloat64()) })
-	info, err := FitSingle("p", ms, nil)
+	info, err := FitMulti([]string{"p"}, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFitSingleCollectiveTerm(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Collectives = map[string]bool{"p": true}
 	// Bytes of an allreduce: 8192 payload bytes · 2·log2(p).
-	info, err := FitSingle("p", meas1(gridP,
+	info, err := FitMulti([]string{"p"}, meas1(gridP,
 		func(p float64) float64 { return 8192 * pmnf.EvalSpecial(pmnf.Allreduce, p) }), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -168,20 +168,20 @@ func TestFitSingleCollectiveTerm(t *testing.T) {
 }
 
 func TestFitSingleTooFewPoints(t *testing.T) {
-	_, err := FitSingle("p", meas1([]float64{2, 4, 8}, func(x float64) float64 { return x }), nil)
+	_, err := FitMulti([]string{"p"}, meas1([]float64{2, 4, 8}, func(x float64) float64 { return x }), nil)
 	if !errors.Is(err, ErrTooFewPoints) {
 		t.Fatalf("err = %v, want ErrTooFewPoints", err)
 	}
 	opts := DefaultOptions()
 	opts.MinPoints = 3
-	if _, err := FitSingle("p", meas1([]float64{2, 4, 8}, func(x float64) float64 { return x }), opts); err != nil {
+	if _, err := FitMulti([]string{"p"}, meas1([]float64{2, 4, 8}, func(x float64) float64 { return x }), opts); err != nil {
 		t.Fatalf("lowered MinPoints should fit: %v", err)
 	}
 }
 
 func TestFitSingleRejectsWrongArity(t *testing.T) {
 	ms := []Measurement{{Coords: []float64{1, 2}, Values: []float64{3}}}
-	if _, err := FitSingle("p", ms, nil); err == nil {
+	if _, err := FitMulti([]string{"p"}, ms, nil); err == nil {
 		t.Fatal("expected arity error")
 	}
 }
@@ -197,10 +197,11 @@ func TestFitSingleMedianAggregation(t *testing.T) {
 			Values: []float64{clean, clean * 1.01, clean * 0.99, clean * 40},
 		})
 	}
-	info, err := FitSingleAggregated("n", ms, Measurement.Median, nil)
-	if err != nil {
-		t.Fatal(err)
+	out := FitAllObserved([]FitTask{{Params: []string{"n"}, Ms: ms, Agg: AggMedian}}, 1, nil, nil)[0]
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
+	info := out.Info
 	if got := info.Model.Eval(128); math.Abs(got-1280)/1280 > 0.1 {
 		t.Errorf("median fit Eval(128) = %g, want ~1280 (model %s)", got, info.Model)
 	}
@@ -209,13 +210,13 @@ func TestFitSingleMedianAggregation(t *testing.T) {
 func TestFitSingleSkipsEmptyMeasurements(t *testing.T) {
 	ms := meas1(gridP, func(x float64) float64 { return x })
 	ms = append(ms, Measurement{Coords: []float64{128}})
-	if _, err := FitSingle("n", ms, nil); err != nil {
+	if _, err := FitMulti([]string{"n"}, ms, nil); err != nil {
 		t.Fatalf("empty measurement should be skipped: %v", err)
 	}
 }
 
 func TestModelInfoQualityStats(t *testing.T) {
-	info, err := FitSingle("n", meas1(gridP, func(x float64) float64 { return 5 * x }), nil)
+	info, err := FitMulti([]string{"n"}, meas1(gridP, func(x float64) float64 { return 5 * x }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

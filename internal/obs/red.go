@@ -28,6 +28,12 @@ const (
 	// MetricServerLatency is the per-request latency histogram (seconds),
 	// measured from admission to response.
 	MetricServerLatency = "server_request_seconds"
+	// MetricServerPointsGet counts well-keyed GET /v1/points/{key}
+	// requests, the remote point-store reads peers send.
+	MetricServerPointsGet = "server_points_get_total"
+	// MetricServerPointsPut counts well-keyed PUT /v1/points/{key}
+	// requests, the remote point-store writes peers send.
+	MetricServerPointsPut = "server_points_put_total"
 )
 
 // RequestSecondsEdges is the bucket layout of the server request-latency
@@ -39,6 +45,7 @@ func RequestSecondsEdges() []float64 { return ExpEdges(1e-4, 4, 10) }
 // updates the MetricServer* metric of the same name.
 type RED struct {
 	Requests, Errors, Shed, Coalesced *Counter
+	PointsGet, PointsPut              *Counter
 	QueueDepth, Inflight              *Gauge
 	Latency                           *Histogram
 }
@@ -51,6 +58,8 @@ func NewRED(reg *Registry) *RED {
 		Errors:     reg.Counter(MetricServerErrors),
 		Shed:       reg.Counter(MetricServerShed),
 		Coalesced:  reg.Counter(MetricServerCoalesced),
+		PointsGet:  reg.Counter(MetricServerPointsGet),
+		PointsPut:  reg.Counter(MetricServerPointsPut),
 		QueueDepth: reg.Gauge(MetricServerQueueDepth),
 		Inflight:   reg.Gauge(MetricServerInflight),
 		Latency:    reg.Histogram(MetricServerLatency, RequestSecondsEdges()),

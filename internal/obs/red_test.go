@@ -12,6 +12,8 @@ func TestREDCountsIntoRegistry(t *testing.T) {
 	red.Coalesced.Inc()
 	red.Coalesced.Inc()
 	red.Coalesced.Inc()
+	red.PointsGet.Add(4)
+	red.PointsPut.Inc()
 	red.QueueDepth.Set(5)
 	red.Inflight.Set(2)
 	red.Latency.Observe(0.25)
@@ -22,6 +24,8 @@ func TestREDCountsIntoRegistry(t *testing.T) {
 		MetricServerErrors:    1,
 		MetricServerShed:      1,
 		MetricServerCoalesced: 3,
+		MetricServerPointsGet: 4,
+		MetricServerPointsPut: 1,
 	}
 	for name, want := range wantCounters {
 		if got := s.Counters[name]; got != want {
@@ -60,7 +64,7 @@ func TestNilRegistryInstrumentsAreNoOps(t *testing.T) {
 	h.Observe(1)
 
 	red := NewRED(reg)
-	for _, c := range []*Counter{red.Requests, red.Errors, red.Shed, red.Coalesced} {
+	for _, c := range []*Counter{red.Requests, red.Errors, red.Shed, red.Coalesced, red.PointsGet, red.PointsPut} {
 		c.Inc()
 	}
 	red.QueueDepth.Set(1)

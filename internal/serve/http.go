@@ -378,7 +378,7 @@ func (s *Server) handlePointGet(w http.ResponseWriter, r *http.Request) {
 	}
 	// The sharding smoke reconciles shard traffic against the points
 	// counters.
-	s.opts.Metrics.Counter("server_points_get_total").Inc()
+	s.red.PointsGet.Inc()
 	etag := `"` + key.String() + `"`
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
 		// Content-addressed entries are immutable: holding any version of
@@ -409,7 +409,7 @@ func (s *Server) handlePointPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	s.opts.Metrics.Counter("server_points_put_total").Inc()
+	s.red.PointsPut.Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, 0, fmt.Sprintf("reading body: %v", err))

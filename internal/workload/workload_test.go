@@ -169,7 +169,7 @@ func TestMessageCountsModelable(t *testing.T) {
 		t.Fatalf("got %d message measurements", len(ms))
 	}
 	opts := modelOptsWithCollectives()
-	info, err := modeling.FitMultiAggregated(modelParams, ms, modeling.Measurement.Mean, opts)
+	info, err := modeling.FitMulti(modelParams, ms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

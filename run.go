@@ -89,35 +89,19 @@ type runConfig struct {
 	adaptive  *AdaptiveOptions
 }
 
-// buildStore resolves the cache options into scheduler Options plus a
-// cleanup to run after the scheduler closes. A remote URL alone selects a
-// RemoteStore; a remote URL with a cache dir layers the DiskStore over the
-// remote as a TieredStore (local reads first, asynchronous write-behind to
-// the remote); a cache dir alone keeps the classic DiskStore path.
+// buildStore resolves the cache options into scheduler Options (see
+// campaign.StoreOptions) plus a cleanup to run after the scheduler closes.
 func (c *runConfig) buildStore() (campaign.Options, func(), error) {
-	nop := func() {}
-	if c.remoteURL == "" {
-		return campaign.Options{Dir: c.cacheDir}, nop, nil
+	opts, tiered, err := campaign.StoreOptions(c.cacheDir, c.remoteURL, c.reg, nil)
+	if tiered == nil {
+		return opts, func() {}, err
 	}
-	remote, err := campaign.NewRemoteStore(c.remoteURL, campaign.RemoteOptions{Metrics: c.reg})
-	if err != nil {
-		return campaign.Options{}, nil, err
-	}
-	if c.cacheDir == "" {
-		return campaign.Options{Store: remote}, nop, nil
-	}
-	disk, err := campaign.OpenDiskStore(c.cacheDir)
-	if err != nil {
-		return campaign.Options{}, nil, err
-	}
-	tiered := campaign.NewTieredStore(disk, remote, campaign.TieredOptions{Metrics: c.reg})
-	cleanup := func() {
+	return opts, func() {
 		// Flush the write-behind queue so a short-lived CLI run publishes
 		// its points before exiting, then stop the worker.
 		tiered.Sync(context.Background())
 		tiered.Close()
-	}
-	return campaign.Options{Store: tiered}, cleanup, nil
+	}, nil
 }
 
 func newRunConfig(opts []Option) runConfig {

@@ -10,7 +10,9 @@ package modeling
 // math.Pow/math.Log2 calls and allocate fresh scratch. Each step is written
 // once: termColumn builds a term's product column (for the design matrices
 // and the pair prescreen), design lays out the full design matrix, and loo
-// runs the folds behind both the CV score and the per-point CVFolds.
+// runs the folds behind both the CV score and the per-point CVFolds. Most
+// hypotheses never reach loo: bound.go bounds every hypothesis in closed
+// form and scores exactly only those that can still be selected.
 //
 // The optimized path is pinned byte-identical to the reference path
 // (Options.reference): fold design matrices contain the same bits (cached
@@ -78,7 +80,23 @@ type searcher struct {
 	termScratch [][]float64 // owned storage for multi-factor product columns
 	pfCols      [][]float64 // per-factor basis columns for held-out predictions
 	pfStart     []int       // term t's factors are pfCols[pfStart[t]:pfStart[t+1]]
+
+	// Bound-and-verify state (bound.go), reused across rounds.
+	lb         looBasis
+	rnd        round
+	hyp        hypothesis // the candidate being bounded or scored
+	pairs      []linePair // a line round's candidates
+	colScratch []float64
+
+	// Hypotheses bounded and exactly scored, added to counts (if set) on
+	// release, once per search.
+	nBounded, nScored int64
+	counts            *searchCounts
 }
+
+// searchCounts tallies one fit task's hypotheses: how many got a
+// closed-form bound and how many ran the exact fold loop.
+type searchCounts struct{ bounded, scored int64 }
 
 // newSearcher builds the fitting context for one point series. Callers must
 // release() it when the search is done to return the pooled QR workspace.
@@ -92,8 +110,13 @@ func newSearcher(params []string, pts []point, opts *Options) *searcher {
 	}
 }
 
-// release returns pooled resources. The searcher must not be used after.
+// release returns pooled resources and adds the searcher's counts. The
+// searcher must not be used after.
 func (s *searcher) release() {
+	if s.counts != nil {
+		s.counts.bounded += s.nBounded
+		s.counts.scored += s.nScored
+	}
 	if s.solver != nil {
 		mathx.PutQRSolver(s.solver)
 		s.solver = nil
@@ -129,30 +152,6 @@ func (s *searcher) fit(h hypothesis) (*pmnf.Model, error) {
 		return fitHypothesis(s.params, h, s.pts, s.opts.AllowNegative)
 	}
 	return s.fitFast(h)
-}
-
-// selectAndFit Occam-selects among the scored candidates and fits the
-// winner's coefficients on the full series. Models are fitted lazily — only
-// winners ever need one, so the candidate sweep allocates no models at all.
-// A winner whose full fit fails (a shape can pass every leave-one-out fold
-// yet hit a sign constraint on the full series) is dropped and selection
-// repeats. Returns the winner, the surviving candidates, and ok=false when
-// no candidate can be selected and fitted.
-func (s *searcher) selectAndFit(cands []scoredHypothesis, band float64) (scoredHypothesis, []scoredHypothesis, bool) {
-	for len(cands) > 0 {
-		wi := occamSelect(cands, band)
-		if wi < 0 {
-			return scoredHypothesis{}, cands, false
-		}
-		m, err := s.fit(cands[wi].h)
-		if err == nil {
-			w := cands[wi]
-			w.model = m
-			return w, cands, true
-		}
-		cands = append(cands[:wi], cands[wi+1:]...)
-	}
-	return scoredHypothesis{}, cands, false
 }
 
 // termColumn returns term's product column over the series: the cached

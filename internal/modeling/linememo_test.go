@@ -81,7 +81,7 @@ func TestLineMemoKeysEveryLineOption(t *testing.T) {
 		return o
 	}
 	cache := NewFitCache()
-	if _, err := cache.lineFactors("p", line, base()); err != nil {
+	if _, err := cache.lineFactors("p", line, base(), nil); err != nil {
 		t.Fatal(err)
 	}
 	changed := append([]point(nil), line...)
@@ -120,7 +120,7 @@ func TestLineMemoKeysEveryLineOption(t *testing.T) {
 			pts = v.pts
 		}
 		before := cache.lineHits.Load()
-		if _, err := cache.lineFactors(param, pts, opts); err != nil {
+		if _, err := cache.lineFactors(param, pts, opts, nil); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		if hit := cache.lineHits.Load() > before; hit != v.wantHit {

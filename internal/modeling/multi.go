@@ -2,7 +2,6 @@ package modeling
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -27,14 +26,15 @@ import (
 //     select the winner by leave-one-out cross-validated SMAPE, preferring
 //     fewer terms among statistically indistinguishable hypotheses.
 func FitMulti(params []string, ms []Measurement, opts *Options) (*ModelInfo, error) {
-	return fitMulti(params, ms, AggMean, opts, nil)
+	return fitMulti(params, ms, AggMean, opts, nil, nil)
 }
 
 // fitMulti is FitMulti aggregating with agg and taking step 1's
 // baseline-line searches from cache (nil: search every line). A line's
 // harvest is a pure function of what lineFingerprint hashes, so a memoized
-// line yields the same model, bit for bit, as a fresh search.
-func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *FitCache) (*ModelInfo, error) {
+// line yields the same model, bit for bit, as a fresh search. counts, if
+// not nil, receives the searches' hypothesis counts.
+func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *FitCache, counts *searchCounts) (*ModelInfo, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
@@ -54,7 +54,7 @@ func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *
 		}
 	}
 	if len(params) == 1 {
-		info, _, err := fitIterativeHarvest(params, pts, singleTermCandidates(params[0], opts), opts)
+		info, _, err := fitIterativeHarvest(params, pts, singleTermCandidates(params[0], opts), opts, counts)
 		return info, err
 	}
 
@@ -64,7 +64,7 @@ func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *
 		line := baselineLine(pts, l)
 		lineOpts := *opts
 		lineOpts.MinPoints = min(opts.MinPoints, distinctCoords(line, 0))
-		fs, err := cache.lineFactors(params[l], line, &lineOpts)
+		fs, err := cache.lineFactors(params[l], line, &lineOpts, counts)
 		if err != nil {
 			return nil, fmt.Errorf("modeling: single-parameter model for %s: %w", params[l], err)
 		}
@@ -78,23 +78,25 @@ func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *
 		return finishInfo(m, pts, constantCV(pts), opts), nil
 	}
 
-	// Step 3: evaluate every hypothesis and Occam-select the winner. One
-	// searcher serves the whole candidate sweep: every hypothesis reuses
-	// the same cached basis columns and pooled QR scratch.
+	// Step 3: bound every hypothesis, score exactly those that can win, and
+	// Occam-select the winner. One searcher serves the whole candidate
+	// sweep: every hypothesis reuses the same cached basis columns and
+	// pooled QR scratch.
 	s := newSearcher(params, pts, opts)
+	s.counts = counts
 	defer s.release()
-	var cands []scoredHypothesis
+	kept := hyps[:0]
 	for _, h := range hyps {
-		if len(pts) <= len(h.factors)+1 {
-			continue
+		if len(pts) > len(h.factors)+1 {
+			kept = append(kept, h)
 		}
-		score, _, err := s.cvScore(h)
-		if err != nil || math.IsNaN(score) {
-			continue
-		}
-		cands = append(cands, scoredHypothesis{h: h, score: score})
 	}
-	best, _, ok := s.selectAndFit(cands, opts.Improvement)
+	r := s.newRound(len(kept), func(i int, h *hypothesis) { h.factors = append(h.factors[:0], kept[i].factors...) })
+	for _, h := range kept {
+		r.add(s.boundTerms(h.factors))
+	}
+	r.ready()
+	best, ok := s.selectAndFit(r, opts.Improvement)
 	if !ok {
 		m := pmnf.NewConstant(meanY(pts), params...)
 		return finishInfo(m, pts, constantCV(pts), opts), nil
@@ -113,7 +115,7 @@ func fitMulti(params []string, ms []Measurement, agg Agg, opts *Options, cache *
 // harvestLine is step 1 of a multi-parameter fit for one parameter: the
 // distinct non-constant factors of the single-parameter model fitted along
 // the parameter's baseline line, in harvest order.
-func harvestLine(param string, line []point, opts *Options) ([]pmnf.Factor, error) {
+func harvestLine(param string, line []point, opts *Options, counts *searchCounts) ([]pmnf.Factor, error) {
 	var fs []pmnf.Factor
 	add := func(m *pmnf.Model) {
 		for _, t := range m.Terms {
@@ -125,7 +127,7 @@ func harvestLine(param string, line []point, opts *Options) ([]pmnf.Factor, erro
 			}
 		}
 	}
-	info, roundOne, err := fitIterativeHarvest([]string{param}, line, singleTermCandidates(param, opts), opts)
+	info, roundOne, err := fitIterativeHarvest([]string{param}, line, singleTermCandidates(param, opts), opts, counts)
 	if err != nil {
 		return nil, err
 	}

@@ -53,11 +53,23 @@ func hypothesisComplexity(h hypothesis) float64 {
 	return c
 }
 
-// scoredHypothesis pairs a candidate with its CV score for Occam selection.
+// scoredHypothesis pairs a candidate with its CV score for Occam selection
+// and its position among its round's candidates.
 type scoredHypothesis struct {
 	h     hypothesis
 	score float64
 	model *pmnf.Model
+	idx   int
+}
+
+// occamSlack is the band's absolute slack: cross-validated SMAPE
+// differences below a quarter of a point are measurement noise, not
+// evidence for a more exotic shape.
+const occamSlack = 0.25
+
+// occamLimit is the highest score inside the band of the best score.
+func occamLimit(minScore, band float64) float64 {
+	return minScore*(1+band) + occamSlack
 }
 
 // occamSelect returns the index of the winning candidate: the structurally
@@ -73,11 +85,8 @@ func occamSelect(cands []scoredHypothesis, band float64) int {
 			minScore = c.score
 		}
 	}
-	// The band is relative, plus a small absolute slack: cross-validated
-	// SMAPE differences below a quarter of a point are measurement noise,
-	// not evidence for a more exotic shape.
-	const absSlack = 0.25
-	limit := minScore*(1+band) + absSlack
+	// The band is relative, plus a small absolute slack.
+	limit := occamLimit(minScore, band)
 	best := -1
 	var bestC, bestS float64
 	for i, c := range cands {

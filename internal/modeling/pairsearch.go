@@ -25,9 +25,10 @@ const pairPrescreen = 32
 // jointly. It returns the fitted model and its CV score, or ok=false when no
 // valid pair was found. The prescreen stage assembles every candidate's
 // basis column from the searcher's cache and solves in its pooled QR
-// workspace; the surviving pairs are re-scored through the searcher's
-// cvScore, so the prescreen ranking and the final selection are identical
-// on the reference and optimized paths.
+// workspace; the surviving pairs are bounded and re-scored through the
+// searcher's cvScore as far as Occam selection needs, so the prescreen
+// ranking and the final selection are identical on the reference and
+// optimized paths.
 func exhaustivePairSearch(s *searcher, candidates [][]pmnf.Factor) (*pmnf.Model, float64, bool) {
 	pts, opts := s.pts, s.opts
 	n := len(pts)
@@ -113,16 +114,16 @@ func exhaustivePairSearch(s *searcher, candidates [][]pmnf.Factor) (*pmnf.Model,
 		best = best[:pairPrescreen]
 	}
 
-	var cands []scoredHypothesis
-	for _, pr := range best {
-		h := hypothesis{factors: [][]pmnf.Factor{candidates[pr.i], candidates[pr.j]}}
-		score, _, err := s.cvScore(h)
-		if err != nil || math.IsNaN(score) {
-			continue
-		}
-		cands = append(cands, scoredHypothesis{h: h, score: score})
+	shape := func(i int, h *hypothesis) {
+		h.factors = append(h.factors[:0], candidates[best[i].i], candidates[best[i].j])
 	}
-	w, _, ok := s.selectAndFit(cands, opts.Improvement)
+	r := s.newRound(len(best), shape)
+	for i := range best {
+		shape(i, &s.hyp)
+		r.add(s.boundTerms(s.hyp.factors))
+	}
+	r.ready()
+	w, ok := s.selectAndFit(r, opts.Improvement)
 	if !ok {
 		return nil, 0, false
 	}

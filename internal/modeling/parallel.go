@@ -95,6 +95,13 @@ const (
 	MetricFitErrors = "fit_errors_total"
 	// MetricFitSeconds is the per-task latency histogram.
 	MetricFitSeconds = "fit_seconds"
+	// MetricFitHypothesesBounded counts hypotheses the searches passed
+	// through the closed-form leave-one-out bound (bound.go), including
+	// the few too close to rank deficient to bound.
+	MetricFitHypothesesBounded = "fit_hypotheses_bounded_total"
+	// MetricFitHypothesesScored counts hypotheses that ran the exact
+	// leave-one-out fold loop.
+	MetricFitHypothesesScored = "fit_hypotheses_scored_total"
 )
 
 // FitSecondsEdges is the bucket layout of MetricFitSeconds: exponential
@@ -106,6 +113,7 @@ func FitSecondsEdges() []float64 { return obs.ExpEdges(1e-5, 4, 10) }
 // nil and its updates do nothing.
 type fitMetrics struct {
 	tasks, hits, errors *obs.Counter
+	bounded, scored     *obs.Counter
 	seconds             *obs.Histogram
 }
 
@@ -114,6 +122,8 @@ func newFitMetrics(r *obs.Registry) *fitMetrics {
 		tasks:   r.Counter(MetricFitTasks),
 		hits:    r.Counter(MetricFitCacheHits),
 		errors:  r.Counter(MetricFitErrors),
+		bounded: r.Counter(MetricFitHypothesesBounded),
+		scored:  r.Counter(MetricFitHypothesesScored),
 		seconds: r.Histogram(MetricFitSeconds, FitSecondsEdges()),
 	}
 }
@@ -172,7 +182,13 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		return o
 	}
 	fit := func() (*ModelInfo, error) {
-		return fitMulti(t.Params, t.Ms, t.Agg, t.Opts, cache)
+		// The searches count into counts; the task adds them to the
+		// registry once.
+		var counts searchCounts
+		info, err := fitMulti(t.Params, t.Ms, t.Agg, t.Opts, cache, &counts)
+		fm.bounded.Add(counts.bounded)
+		fm.scored.Add(counts.scored)
+		return info, err
 	}
 	if cache == nil {
 		info, err := fit()
@@ -246,9 +262,10 @@ func (c *FitCache) do(fp [sha256.Size]byte, fit func() (*ModelInfo, error)) (inf
 // lineFactors returns the factors harvested from one parameter's baseline
 // line (see harvestLine), searching the line only if no fit sharing this
 // cache has searched it yet. A nil cache always searches. The returned
-// slice may be shared and must be treated as read-only.
-func (c *FitCache) lineFactors(param string, line []point, opts *Options) ([]pmnf.Factor, error) {
-	search := func() ([]pmnf.Factor, error) { return harvestLine(param, line, opts) }
+// slice may be shared and must be treated as read-only. A search counts
+// its hypotheses into counts (if not nil); a memoized line counts none.
+func (c *FitCache) lineFactors(param string, line []point, opts *Options, counts *searchCounts) ([]pmnf.Factor, error) {
+	search := func() ([]pmnf.Factor, error) { return harvestLine(param, line, opts, counts) }
 	if c == nil {
 		return search()
 	}

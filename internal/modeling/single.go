@@ -35,7 +35,7 @@ const beamWidth = 8
 // return — or nil when the constant model won round one. FitMulti harvests
 // its factors for the combination hypothesis space without paying for a
 // second search.
-func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Factor, opts *Options) (*ModelInfo, *pmnf.Model, error) {
+func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Factor, opts *Options, counts *searchCounts) (*ModelInfo, *pmnf.Model, error) {
 	// Near-constant data short-circuits to the constant model; this mirrors
 	// Extra-P's noise guard and avoids fitting growth to jitter.
 	if relativeSpread(pts) < 1e-9 {
@@ -53,41 +53,32 @@ func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Facto
 	}
 
 	s := newSearcher(params, pts, opts)
+	s.counts = counts
 	defer s.release()
+	// Every candidate's column, resolved once for the whole search.
+	cols := make([][]float64, len(candidates))
+	if !opts.reference {
+		for c, cand := range candidates {
+			var own []float64
+			cols[c] = s.termColumn(cand, &own)
+		}
+	}
 
 	var roundOne *pmnf.Model
 	beam := []scoredHypothesis{{score: bestScore, model: bestModel}}
 	for round := 0; round < opts.MaxTerms; round++ {
-		var next []scoredHypothesis
-		for _, e := range beam {
-			for _, cand := range candidates {
-				if containsTerm(e.h.factors, cand) {
-					continue
-				}
-				if len(pts) <= len(e.h.factors)+2 {
-					continue // not enough points for LOO refits
-				}
-				factors := make([][]pmnf.Factor, 0, len(e.h.factors)+1)
-				factors = append(factors, e.h.factors...)
-				h := hypothesis{factors: append(factors, cand)}
-				// cvScore charges failed folds the worst-case SMAPE, so
-				// shapes that only fit their easy folds cannot win on an
-				// optimistic score.
-				score, _, err := s.cvScore(h)
-				if err != nil || math.IsNaN(score) {
-					continue
-				}
-				next = append(next, scoredHypothesis{h: h, score: score})
-			}
-		}
-		if len(next) == 0 {
+		// Every beam entry has round terms; a candidate adds one more and
+		// needs enough points for its leave-one-out refits.
+		if len(pts) <= round+2 {
 			break
 		}
+		// cvScore charges failed folds the worst-case SMAPE, so shapes that
+		// only fit their easy folds cannot win on an optimistic score.
+		r := s.lineRound(beam, candidates, cols)
 		// Round winner: the simplest hypothesis among those statistically
 		// tied with the best score. Coefficients are fitted lazily — only
 		// the winner needs a model.
-		winner, remaining, ok := s.selectAndFit(next, opts.Improvement)
-		next = remaining
+		winner, ok := s.selectAndFit(r, opts.Improvement)
 		if !ok || !acceptScore(winner.score, bestScore, opts.Improvement) {
 			break
 		}
@@ -96,8 +87,13 @@ func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Facto
 		if round == 0 {
 			roundOne = winner.model
 		}
+		if bestScore < 1e-9 || round+1 == opts.MaxTerms {
+			break // an exact fit, or the last round: no next beam
+		}
 		// The beam carries the lowest-scoring candidates into the next
 		// round (plus the Occam winner, which may rank below the cut).
+		r.scan(beamWidth)
+		next := r.scored
 		slices.SortStableFunc(next, func(a, b scoredHypothesis) int { return cmp.Compare(a.score, b.score) })
 		if len(next) > beamWidth {
 			next = next[:beamWidth]
@@ -105,9 +101,6 @@ func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Facto
 		beam = next
 		if !beamContains(beam, winner) {
 			beam[len(beam)-1] = winner
-		}
-		if bestScore < 1e-9 {
-			break // exact fit; additional terms cannot help
 		}
 	}
 	// Mixed-growth data can defeat the term-by-term beam; when the result is
@@ -119,6 +112,43 @@ func fitIterativeHarvest(params []string, pts []point, candidates [][]pmnf.Facto
 		}
 	}
 	return finishInfo(bestModel, pts, bestScore, opts), roundOne, nil
+}
+
+// linePair is one candidate of a line round: beam entry e extended by
+// candidate term c.
+type linePair struct{ e, c int32 }
+
+// lineRound bounds every extension of every beam entry by one candidate
+// term it does not already hold, in beam-then-candidate order. Each beam
+// entry is factored once; each candidate is bounded as one more column.
+func (s *searcher) lineRound(beam []scoredHypothesis, candidates [][]pmnf.Factor, cols [][]float64) *round {
+	s.pairs = s.pairs[:0]
+	r := s.newRound(len(beam)*len(candidates), func(i int, h *hypothesis) {
+		p := s.pairs[i]
+		h.factors = append(append(h.factors[:0], beam[p.e].h.factors...), candidates[p.c])
+	})
+	for e, b := range beam {
+		if !s.opts.reference {
+			s.lb.reset(s.pts)
+			for _, term := range b.h.factors {
+				s.lb.extend(s.termColumn(term, &s.colScratch))
+			}
+		}
+		for c, cand := range candidates {
+			if containsTerm(b.h.factors, cand) {
+				continue
+			}
+			s.pairs = append(s.pairs, linePair{int32(e), int32(c)})
+			bound := math.Inf(-1)
+			if !s.opts.reference {
+				s.nBounded++
+				bound, _ = s.lb.bound(cols[c], s.opts.AllowNegative)
+			}
+			r.add(bound)
+		}
+	}
+	r.ready()
+	return r
 }
 
 // acceptScore reports whether a new CV score is a significant improvement

@@ -17,6 +17,7 @@ import (
 	"extrareq/internal/apps"
 	"extrareq/internal/metrics"
 	"extrareq/internal/modeling"
+	"extrareq/internal/obs"
 	"extrareq/internal/workload"
 )
 
@@ -34,16 +35,22 @@ func benchCampaigns(b *testing.B) []*workload.Campaign {
 func benchmarkFitPipeline(b *testing.B, workers int) {
 	campaigns := benchCampaigns(b)
 	tasks := len(campaigns) * len(metrics.All())
+	reg := obs.NewRegistry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// No cache: every iteration re-fits every series, so fits/sec
 		// reflects raw fitting throughput.
-		if _, _, err := workload.FitAllObserved(campaigns, nil, workers, nil, nil); err != nil {
+		if _, _, err := workload.FitAllObserved(campaigns, nil, workers, nil, reg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(tasks*b.N)/b.Elapsed().Seconds(), "fits/sec")
 	b.ReportMetric(float64(workersOrMax(workers)), "workers")
+	// How many hypotheses the searches bounded, and how many of them ran
+	// the exact leave-one-out folds: deterministic counts per op.
+	perOp := func(name string) float64 { return float64(reg.Counter(name).Value()) / float64(b.N) }
+	b.ReportMetric(perOp(modeling.MetricFitHypothesesBounded), "hyps-bounded/op")
+	b.ReportMetric(perOp(modeling.MetricFitHypothesesScored), "hyps-scored/op")
 }
 
 func workersOrMax(workers int) int {

@@ -77,7 +77,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # stability. Every benchmark runs five times (-count=5) and cmd/benchjson
 # records the median with its min/max: a single run drifted with the host
 # by as much as 43% between records.
-BENCH_PR=${BENCH_PR:-26}
+BENCH_PR=${BENCH_PR:-27}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}, count 5) =="
 {
